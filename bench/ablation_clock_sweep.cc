@@ -83,6 +83,8 @@ main(int argc, char **argv)
     const auto measure = args.getInt("seconds", 4) * kSecond;
     const double alpha = args.getDouble("alpha", 0.7);
     const std::uint64_t seed = args.getInt("seed", 1);
+    const unsigned jobs = bench::jobsFromArgs(args);
+    args.rejectUnknown();
 
     bench::Report report("ablation_clock_sweep");
     report.params()
@@ -105,7 +107,7 @@ main(int argc, char **argv)
     const BackendKind backends[2] = {BackendKind::Dram,
                                      BackendKind::Mftl};
 
-    bench::SweepRunner runner(bench::jobsFromArgs(args));
+    bench::SweepRunner runner(jobs);
     std::vector<Cell> cells(clockKinds.size() * 2);
     runner.run(cells.size(), [&](std::size_t i) {
         cells[i] = runCell(clockKinds[i / 2], backends[i % 2], alpha,

@@ -80,6 +80,8 @@ main(int argc, char **argv)
     const std::uint64_t keys = args.getInt("keys", 30'000);
     const auto warmup = args.getInt("warmup", 1) * kSecond;
     const auto measure = args.getInt("seconds", 2) * kSecond;
+    const unsigned jobs = bench::jobsFromArgs(args);
+    args.rejectUnknown();
 
     bench::Report report("ablation_pack_timer");
     report.params()
@@ -100,7 +102,7 @@ main(int argc, char **argv)
         100 * kMicrosecond,  250 * kMicrosecond, 500 * kMicrosecond,
         1000 * kMicrosecond, 2000 * kMicrosecond, 4000 * kMicrosecond};
 
-    bench::SweepRunner runner(bench::jobsFromArgs(args));
+    bench::SweepRunner runner(jobs);
     std::vector<Cell> cells(timeouts.size());
     runner.run(timeouts.size(), [&](std::size_t i) {
         cells[i] = runCell(timeouts[i], keys, warmup, measure);

@@ -11,6 +11,10 @@
  *   --full        paper-scale parameters (slower)
  *   --json=PATH   write a milana-bench-v1 JSON report to PATH
  *
+ * A harness reads all of its flags first, then calls
+ * Args::rejectUnknown(), so a mistyped or retired flag stops the run
+ * instead of being silently ignored.
+ *
  * Defaults are sized so the whole bench suite finishes in minutes of
  * wall time while preserving the paper's shapes; EXPERIMENTS.md records
  * the settings used for the committed results.
@@ -25,6 +29,7 @@
 #include <cstring>
 #include <fstream>
 #include <ostream>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -50,6 +55,7 @@ class Args
     double
     getDouble(const std::string &name, double def) const
     {
+        queried_.insert(name);
         const std::string prefix = "--" + name + "=";
         for (const auto &a : args_) {
             if (a.rfind(prefix, 0) == 0)
@@ -61,6 +67,7 @@ class Args
     std::int64_t
     getInt(const std::string &name, std::int64_t def) const
     {
+        queried_.insert(name);
         const std::string prefix = "--" + name + "=";
         for (const auto &a : args_) {
             if (a.rfind(prefix, 0) == 0)
@@ -72,6 +79,7 @@ class Args
     std::string
     getString(const std::string &name, const std::string &def) const
     {
+        queried_.insert(name);
         const std::string prefix = "--" + name + "=";
         const std::string flag = "--" + name;
         for (std::size_t i = 0; i < args_.size(); ++i) {
@@ -87,6 +95,7 @@ class Args
     bool
     has(const std::string &name) const
     {
+        queried_.insert(name);
         const std::string flag = "--" + name;
         for (const auto &a : args_) {
             if (a == flag)
@@ -125,8 +134,31 @@ class Args
         return static_cast<common::Duration>(n * scale);
     }
 
+    /**
+     * Exit with status 2, naming the flag, if any `--name` argument was
+     * never asked for by a getter above. Call once every flag has been
+     * read. --json is always accepted: Report::write reads it at the
+     * end of the run.
+     */
+    void
+    rejectUnknown() const
+    {
+        for (const auto &a : args_) {
+            if (a.rfind("--", 0) != 0)
+                continue; // a value of the two-token "--name value" form
+            const std::string name = a.substr(2, a.find('=') - 2);
+            if (name != "json" && queried_.count(name) == 0) {
+                std::fprintf(stderr, "error: unknown flag --%s\n",
+                             name.c_str());
+                std::exit(2);
+            }
+        }
+    }
+
   private:
     std::vector<std::string> args_;
+    /** Every flag name a getter was asked for. */
+    mutable std::set<std::string> queried_;
 };
 
 /**

@@ -15,11 +15,6 @@
  *
  * --jobs=N runs sweep cells on N worker threads (sweep_runner.hh);
  * output is identical for any N.
- *
- * --sim-threads=N asks for partitioned DES inside each cell.
- * Partitioned mode requires Perfect clocks, and every Figure 8 cell
- * runs software PTP, so the guard in runCell forces classic mode
- * here; the flag exists so all figure benches share one interface.
  */
 
 #include <cstdio>
@@ -51,7 +46,7 @@ Cell
 runCell(BackendKind backend, bool local_validation,
         std::uint32_t clients, std::uint64_t keys,
         common::Duration warmup, common::Duration measure,
-        std::uint64_t seed, std::uint32_t simThreads)
+        std::uint64_t seed)
 {
     ClusterConfig cfg;
     cfg.numShards = 3;
@@ -62,10 +57,6 @@ runCell(BackendKind backend, bool local_validation,
     cfg.numKeys = keys;
     cfg.seed = seed;
     cfg.localValidation = local_validation;
-    // Partitioned DES is only legal under Perfect clocks; disciplined
-    // cells (all of Figure 8) run classic regardless of the flag.
-    cfg.simThreads =
-        cfg.clocks == ClockKind::Perfect ? simThreads : 0;
 
     Cluster cluster(cfg);
     cluster.populate();
@@ -103,11 +94,8 @@ main(int argc, char **argv)
     const auto measure =
         args.getInt("seconds", args.has("full") ? 60 : 4) * kSecond;
     const std::uint64_t seed = args.getInt("seed", 1);
-    // Like --jobs, --sim-threads is not a report param: it must never
-    // change results, so reports from different values must compare
-    // byte-identical.
-    const auto simThreads =
-        static_cast<std::uint32_t>(args.getInt("sim-threads", 0));
+    const unsigned jobs = bench::jobsFromArgs(args);
+    args.rejectUnknown();
 
     bench::Report report("fig8_latency_throughput");
     report.params()
@@ -140,12 +128,12 @@ main(int argc, char **argv)
         }
     }
 
-    bench::SweepRunner runner(bench::jobsFromArgs(args));
+    bench::SweepRunner runner(jobs);
     std::vector<Cell> cells(coords.size());
     runner.run(coords.size(), [&](std::size_t i) {
         const Coord &c = coords[i];
         cells[i] = runCell(c.backend, c.lv, c.clients, keys, warmup,
-                           measure, seed, simThreads);
+                           measure, seed);
     });
 
     for (std::size_t i = 0; i < coords.size(); ++i) {

@@ -25,6 +25,7 @@ main(int argc, char **argv)
     const int seconds =
         static_cast<int>(args.getInt("seconds", 120));
     const std::uint64_t seed = args.getInt("seed", 42);
+    args.rejectUnknown();
 
     bench::Report report("skew_report");
     report.params()

@@ -159,34 +159,14 @@ class TraceLog
     std::uint64_t
     nextSpanId()
     {
-        const std::uint64_t id = nextSpan_;
-        nextSpan_ += idStride_;
-        return id;
+        return nextSpan_++;
     }
 
     /** Allocate a fresh trace (transaction) id (never 0). */
     std::uint64_t
     nextTraceId()
     {
-        const std::uint64_t id = nextTrace_;
-        nextTrace_ += idStride_;
-        return id;
-    }
-
-    /**
-     * Interleave this log's span/trace id sequences with other logs':
-     * ids become start, start + stride, start + 2*stride, ... A
-     * partitioned scenario gives partition p's log (p + 1, P) so ids
-     * stay globally unique AND deterministic without any cross-thread
-     * coordination (see sim/partition.hh). Call before any allocation;
-     * @p start must be >= 1 (0 means "no trace/span").
-     */
-    void
-    strideIds(std::uint64_t start, std::uint64_t stride)
-    {
-        nextSpan_ = start;
-        nextTrace_ = start;
-        idStride_ = stride;
+        return nextTrace_++;
     }
 
     /** Record an event; stamps seq, evicts the oldest when full. */
@@ -230,24 +210,8 @@ class TraceLog
     std::uint64_t appended_ = 0;
     std::uint64_t nextSpan_ = 1;
     std::uint64_t nextTrace_ = 1;
-    std::uint64_t idStride_ = 1;
     Observer observer_;
 };
-
-/**
- * Merge per-partition trace logs into @p out in the deterministic
- * total order (trueTime, partition index, per-partition seq) — the
- * same discipline the partitioned scheduler uses for mailboxes, so
- * a merged export is byte-identical for any worker-thread count.
- * Cross-partition causality is safe: causally related events on
- * different partitions are separated by at least the network's
- * minimum link latency, so they never tie on trueTime. @p out's
- * observer (e.g. an InvariantMonitor) sees every merged event; events
- * evicted from a partition's ring are simply absent. Call only while
- * no window is executing.
- */
-void mergeTraceLogs(const std::vector<const TraceLog *> &parts,
-                    TraceLog &out);
 
 /** A parsed milana-trace-v1/v2 document (tools, tests). */
 struct ParsedTrace

@@ -19,16 +19,6 @@
  * node crashes mid-handler the handler's local effects persist (its
  * storage survives) but the response is dropped — the classic
  * ambiguity distributed commit protocols must tolerate.
- *
- * Partitioned (multi-threaded) scenarios: when nodes are spread over a
- * sim::PartitionedScheduler, each partition owns its own Network
- * instance (private RNG stream, stats, tracer) and a shared Fabric
- * carries the node->partition map plus the cluster-wide fault state.
- * A message whose destination lives on another partition is posted to
- * that partition's mailbox instead of being scheduled locally; the
- * minimum link latency (NetConfig::minLatency) is exactly the
- * scheduler's conservative lookahead, which is what makes the window
- * synchronization correct. See sim/partition.hh and CONCURRENCY.md.
  */
 
 #ifndef NET_NETWORK_HH
@@ -47,15 +37,12 @@
 #include "common/trace.hh"
 #include "common/types.hh"
 #include "sim/future.hh"
-#include "sim/partition.hh"
 #include "sim/task.hh"
 
 namespace net {
 
 using common::Duration;
 using common::NodeId;
-
-class Network;
 
 /**
  * Pseudo node id for the network's own trace spans (`net.rpc`).
@@ -82,112 +69,16 @@ struct NetConfig
     Duration oneWayMean = 50 * common::kMicrosecond;
     /** Std-dev of the one-way latency. */
     Duration oneWaySigma = 10 * common::kMicrosecond;
-    /** Hard lower bound on any message delay. Doubles as the
-     *  conservative lookahead in partitioned scenarios. */
+    /** Hard lower bound on any message delay. */
     Duration minLatency = 5 * common::kMicrosecond;
     /** Caller-side RPC timeout. */
     Duration rpcTimeout = 25 * common::kMillisecond;
 };
 
-/**
- * State shared by the per-partition Network instances of one
- * partitioned scenario: the node->partition map and the cluster-wide
- * fault state. Fault state is written only while no window is running
- * (tests mutate between run calls); during windows every access is a
- * read, so no lock is needed.
- */
-class Fabric
-{
-  public:
-    Fabric(sim::PartitionedScheduler &sched, const NetConfig &config);
-
-    sim::PartitionedScheduler &scheduler() { return sched_; }
-    const NetConfig &config() const { return config_; }
-    Duration lookahead() const { return config_.minLatency; }
-
-    /** Register partition @p p's Network (cluster wiring). */
-    void registerNetwork(std::uint32_t p, Network *net);
-    Network &network(std::uint32_t p) const { return *nets_[p]; }
-
-    void setPartition(NodeId node, std::uint32_t partition);
-    std::uint32_t
-    partitionOf(NodeId node) const
-    {
-        return node < partitionOf_.size() ? partitionOf_[node] : 0;
-    }
-
-    /**
-     * Declare that messages flow @p from -> @p to with minimum
-     * one-way latency @p minLatency (default: the config floor every
-     * sampled delay respects). Call after both nodes' setPartition.
-     *
-     * Declarations feed the scheduler's per-edge lookahead matrix:
-     * each partition's conservative window bound is derived from the
-     * links that actually cross into it, so partition pairs with no
-     * declared route stop constraining each other (their effective
-     * lookahead becomes the shortest multi-hop path — e.g. in fig6's
-     * hub topology two client partitions only reach each other
-     * through storage, doubling their mutual lookahead). Wiring code
-     * MUST declare every cross-partition route it will use: the
-     * scheduler PANICs on a post along an undeclared edge.
-     */
-    void declareRoute(NodeId from, NodeId to, Duration minLatency = 0);
-
-    /**
-     * Install the lookahead matrix built from declareRoute() calls
-     * into the scheduler. No-op when nothing was declared (the
-     * scheduler keeps its all-pairs default). Driver thread, before
-     * the first run.
-     */
-    void applyLookahead();
-
-    // Cluster-wide fault state (quiescent mutation only; see above).
-    void setNodeDown(NodeId node, bool down);
-    bool
-    nodeDown(NodeId node) const
-    {
-        return node < down_.size() && down_[node];
-    }
-    void setLinkBroken(NodeId a, NodeId b, bool broken);
-    /** Asymmetric partition: drop only the @p from -> @p to leg. */
-    void setLinkBrokenOneWay(NodeId from, NodeId to, bool broken);
-    bool deliverable(NodeId from, NodeId to) const;
-
-    /** Delay spike: multiply every sampled delay by @p factor (>= 1;
-     *  the minLatency floor keeps the lookahead contract either way). */
-    void setDelayFactor(double factor);
-    /** Per-link delay factor, both directions (1.0 = clear). */
-    void setLinkDelayFactor(NodeId a, NodeId b, double factor);
-    double delayFactor(NodeId from, NodeId to) const;
-
-  private:
-    sim::PartitionedScheduler &sched_;
-    NetConfig config_;
-    std::vector<Network *> nets_;
-    std::vector<std::uint32_t> partitionOf_;
-    /** Per-partition-pair link minimum from declareRoute(), indexed
-     *  src * P + dst; kNoEdge where nothing was declared. */
-    std::vector<Duration> edgeMin_;
-    bool anyRoute_ = false;
-    std::vector<bool> down_;
-    /** Directed: (from, to) present = that leg drops messages. */
-    std::set<std::pair<NodeId, NodeId>> brokenLinks_;
-    double delayFactorAll_ = 1.0;
-    std::map<std::pair<NodeId, NodeId>, double> linkDelayFactor_;
-};
-
 class Network
 {
   public:
-    /** Classic single-simulator network (owns its fault state). */
     Network(sim::Simulator &sim, const NetConfig &config, common::Rng rng);
-
-    /** Partition @p partition's slice of a partitioned scenario: delay
-     *  sampling, stats and tracing stay partition-private (their own
-     *  deterministic streams); fault state and routing live in the
-     *  shared @p fabric. */
-    Network(sim::Simulator &sim, const NetConfig &config, common::Rng rng,
-            Fabric &fabric, std::uint32_t partition);
 
     const NetConfig &config() const { return config_; }
     sim::Simulator &simulator() { return sim_; }
@@ -213,8 +104,7 @@ class Network
     bool deliverable(NodeId from, NodeId to) const;
 
     /** Delay spike on every link (>= 0; sampled delays are multiplied
-     *  and re-floored at minLatency, so the partitioned scheduler's
-     *  lookahead bound still holds and no extra RNG draw happens). */
+     *  and re-floored at minLatency, with no extra RNG draw). */
     void setDelayFactor(double factor);
     /** Per-link delay factor, both directions (1.0 = clear). */
     void setLinkDelayFactor(NodeId a, NodeId b, double factor);
@@ -239,63 +129,10 @@ class Network
      * Returns nullopt if the request or response is lost (crash or
      * partition) — after the configured RPC timeout, as a real caller
      * would observe.
-     *
-     * Cross-partition calls ship the unstarted handler to the
-     * destination partition's mailbox, run it there, and post the
-     * response (or a timed-out nullopt) back — the caller's coroutine,
-     * promise and trace span never leave the caller's partition.
      */
     template <typename Resp>
     sim::Task<std::optional<Resp>>
     callTyped(NodeId from, NodeId to, sim::Task<Resp> handler)
-    {
-        if (fabric_ != nullptr &&
-            fabric_->partitionOf(to) != partition_)
-            return callRemote<Resp>(from, to, std::move(handler));
-        return callLocal<Resp>(from, to, std::move(handler));
-    }
-
-    /** One-way message: runs @p deliver on arrival unless lost. */
-    template <typename Deliver>
-    void
-    send(NodeId from, NodeId to, Deliver deliver)
-    {
-        stats_.counter("net.sends").inc();
-        if (!deliverable(from, to))
-            return;
-        const MessageHeader header{common::currentTraceContext()};
-        const Duration delay = sampleDelay(from, to);
-        if (fabric_ != nullptr) {
-            const std::uint32_t dst = fabric_->partitionOf(to);
-            if (dst != partition_) {
-                // The mailbox event runs on the destination partition
-                // under the header's context (the run loop installs
-                // it), same as the TraceContextScope below.
-                Network *dst_net = &fabric_->network(dst);
-                fabric_->scheduler().post(
-                    partition_, dst, sim_.now() + delay, header.trace,
-                    [dst_net, to, deliver = std::move(deliver)]() mutable {
-                        if (dst_net->nodeDown(to))
-                            return;
-                        deliver();
-                    });
-                return;
-            }
-        }
-        sim_.schedule(delay,
-                      [this, to, header, deliver = std::move(deliver)] {
-                          if (nodeDown(to))
-                              return;
-                          common::TraceContextScope scope(header.trace);
-                          deliver();
-                      });
-    }
-
-  private:
-    /** Same-partition (or classic single-simulator) RPC. */
-    template <typename Resp>
-    sim::Task<std::optional<Resp>>
-    callLocal(NodeId from, NodeId to, sim::Task<Resp> handler)
     {
         stats_.counter("net.calls").inc();
         // The RPC span inherits the caller's ambient context (the task
@@ -336,92 +173,29 @@ class Network
         co_return resp;
     }
 
-    /**
-     * Cross-partition RPC, caller side. The Promise is created on the
-     * caller's simulator and travels by move through the request and
-     * response closures — it is only ever *dereferenced* (resolved,
-     * copied, destroyed) on the caller's partition, so the pooled
-     * FutureState's non-atomic refcount never races. Loss cases are
-     * detected on the destination and come back as a nullopt response
-     * one rpcTimeout later, matching the local path's timing.
-     */
-    template <typename Resp>
-    sim::Task<std::optional<Resp>>
-    callRemote(NodeId from, NodeId to, sim::Task<Resp> handler)
+    /** One-way message: runs @p deliver on arrival unless lost. */
+    template <typename Deliver>
+    void
+    send(NodeId from, NodeId to, Deliver deliver)
     {
-        stats_.counter("net.calls").inc();
-        common::ScopedSpan rpc(tracer_, "net.rpc");
-        rpc.setArg(from);
-        rpc.setArg2(to);
+        stats_.counter("net.sends").inc();
+        if (!deliverable(from, to))
+            return;
         const MessageHeader header{common::currentTraceContext()};
-        if (!deliverable(from, to)) {
-            co_await sim::sleepFor(sim_, config_.rpcTimeout);
-            stats_.counter("net.request_lost").inc();
-            rpc.setTag("request_lost");
-            co_return std::nullopt;
-        }
-        sim::Promise<std::optional<Resp>> promise(sim_);
-        sim::Future<std::optional<Resp>> future = promise.future();
-        const std::uint32_t dst = fabric_->partitionOf(to);
-        Network *dst_net = &fabric_->network(dst);
-        // Request leg: sampled on the caller's partition (its own
-        // deterministic RNG stream); >= minLatency = lookahead, which
-        // is what entitles us to post into the next window.
-        fabric_->scheduler().post(
-            partition_, dst, sim_.now() + sampleDelay(from, to),
-            header.trace,
-            [dst_net, from, to, header, src = partition_,
-             handler = std::move(handler),
-             promise = std::move(promise)]() mutable {
-                sim::spawn(dst_net->serveRemote<Resp>(
-                    from, to, header, src, std::move(handler),
-                    std::move(promise)));
-            });
-        co_return co_await future;
+        const Duration delay = sampleDelay(from, to);
+        sim_.schedule(delay,
+                      [this, to, header, deliver = std::move(deliver)] {
+                          if (nodeDown(to))
+                              return;
+                          common::TraceContextScope scope(header.trace);
+                          deliver();
+                      });
     }
 
-    /**
-     * Cross-partition RPC, destination side: runs the handler on the
-     * destination's simulator (under the wire context, installed by
-     * the run loop) and posts the response back to the caller's
-     * partition, where the posted event resolves the promise.
-     */
-    template <typename Resp>
-    sim::Task<void>
-    serveRemote(NodeId from, NodeId to, MessageHeader header,
-                std::uint32_t src_partition, sim::Task<Resp> handler,
-                sim::Promise<std::optional<Resp>> promise)
-    {
-        std::optional<Resp> resp;
-        Duration back;
-        if (nodeDown(to)) {
-            stats_.counter("net.request_lost").inc();
-            back = config_.rpcTimeout;
-        } else {
-            resp = co_await std::move(handler);
-            if (!deliverable(to, from)) {
-                stats_.counter("net.response_lost").inc();
-                resp.reset();
-                back = config_.rpcTimeout;
-            } else {
-                back = sampleDelay(to, from);
-            }
-        }
-        fabric_->scheduler().post(
-            partition_, src_partition, sim_.now() + back, header.trace,
-            [promise = std::move(promise),
-             resp = std::move(resp)]() mutable {
-                promise.set(std::move(resp));
-            });
-    }
-
+  private:
     sim::Simulator &sim_;
     NetConfig config_;
     common::Rng rng_;
-    /** Shared routing/fault state of a partitioned scenario; null in
-     *  classic mode (down_/brokenLinks_ below are used instead). */
-    Fabric *fabric_ = nullptr;
-    std::uint32_t partition_ = 0;
     std::vector<bool> down_;
     /** Directed: (from, to) present = that leg drops messages. */
     std::set<std::pair<NodeId, NodeId>> brokenLinks_;

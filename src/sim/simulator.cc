@@ -35,16 +35,6 @@ Simulator::scheduleWithContext(Duration delay,
     queue_.schedule(now_ + delay, ctx, std::move(fn));
 }
 
-void
-Simulator::scheduleAtWithContext(Time when,
-                                 const common::TraceContext &ctx,
-                                 Callback fn)
-{
-    if (when < now_)
-        PANIC("event scheduled in the past: " << when << " < " << now_);
-    queue_.schedule(when, ctx, std::move(fn));
-}
-
 std::uint64_t
 Simulator::runLoop(Time limit, bool bounded)
 {

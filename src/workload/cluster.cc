@@ -51,9 +51,9 @@ syncConfigFor(ClockKind kind)
 
 /**
  * Self-rescheduling sampler event: fires at every interval boundary
- * of its partition's simulated time and samples the window that just
- * ended. 16 bytes — lives in the Callback's inline storage, so the
- * steady-state sampling path allocates nothing.
+ * of simulated time and samples the window that just ended. 16 bytes
+ * — lives in the Callback's inline storage, so the steady-state
+ * sampling path allocates nothing.
  */
 struct MetricsTick
 {
@@ -101,39 +101,10 @@ flushRegistry(common::MetricsRegistry &reg, common::Time end)
 Cluster::Cluster(const ClusterConfig &config)
     : config_(config),
       rng_(config.seed),
+      net_(sim_, config_.net, rng_.fork()),
       shardMap_(config.numShards),
       master_(shardMap_)
 {
-    if (config_.simThreads > 0) {
-        // Partitioned mode. The partition COUNT is fixed by the
-        // topology (storage stack on partition 0 — server-to-server
-        // RPCs stay window-local — clients round-robin over up to 7
-        // client partitions), never by the thread count: that is what
-        // makes the output byte-identical for every simThreads >= 1.
-        if (config_.clocks != ClockKind::Perfect)
-            PANIC("simThreads requires ClockKind::Perfect (the clock "
-                  "ensemble couples all clients through one simulator)");
-        if (config_.centiman)
-            PANIC("simThreads does not support Centiman validation "
-                  "(shared validator state)");
-        clientPartitions_ =
-            std::min<std::uint32_t>(std::max(config_.numClients, 1u), 7);
-        const std::uint32_t parts = 1 + clientPartitions_;
-        sched_ = std::make_unique<sim::PartitionedScheduler>(
-            parts, config_.simThreads, config_.net.minLatency);
-        fabric_ = std::make_unique<net::Fabric>(*sched_, config_.net);
-        for (std::uint32_t p = 0; p < parts; ++p) {
-            partNets_.push_back(std::make_unique<net::Network>(
-                sched_->partition(p), config_.net, rng_.fork(),
-                *fabric_, p));
-            fabric_->registerNetwork(p, partNets_.back().get());
-        }
-        fabric_->setPartition(net::kNetworkNode, 0);
-    } else {
-        net_ = std::make_unique<net::Network>(sim_, config_.net,
-                                              rng_.fork());
-    }
-
     // Storage nodes: node id = shard * replicas + replica.
     for (common::ShardId shard = 0; shard < config_.numShards; ++shard) {
         std::vector<common::NodeId> replicas;
@@ -152,12 +123,6 @@ Cluster::Cluster(const ClusterConfig &config)
         primary_server.setBackups(std::move(backups));
     }
 
-    // Storage nodes (and their RPC peers) all live on partition 0.
-    if (fabric_ != nullptr) {
-        for (const auto &server : servers_)
-            fabric_->setPartition(server->nodeId(), 0);
-    }
-
     // Client clocks.
     if (config_.clocks != ClockKind::Perfect) {
         ensemble_ = std::make_unique<clocksync::ClockEnsemble>(
@@ -173,27 +138,22 @@ Cluster::Cluster(const ClusterConfig &config)
     txn_config.localValidation = config_.localValidation;
     for (std::uint32_t i = 0; i < config_.numClients; ++i) {
         const common::NodeId node = 1000 + i;
-        const std::uint32_t part = clientPartition(i);
-        sim::Simulator &client_sim =
-            sched_ != nullptr ? sched_->partition(part) : sim_;
-        if (fabric_ != nullptr)
-            fabric_->setPartition(node, part);
         clocksync::Clock *clock = nullptr;
         if (ensemble_ != nullptr) {
             clock = &ensemble_->clock(i);
         } else {
             perfectClocks_.push_back(
-                std::make_unique<clocksync::PerfectClock>(client_sim));
+                std::make_unique<clocksync::PerfectClock>(sim_));
             clock = perfectClocks_.back().get();
         }
         if (config_.centiman) {
             clients_.push_back(std::make_unique<milana::CentimanClient>(
-                client_sim, netFor(part), node, i + 1, *clock, master_,
-                directory_, client_config, txn_config, centimanSystem_));
+                sim_, net_, node, i + 1, *clock, master_, directory_,
+                client_config, txn_config, centimanSystem_));
         } else {
             clients_.push_back(std::make_unique<milana::MilanaClient>(
-                client_sim, netFor(part), node, i + 1, *clock, master_,
-                directory_, client_config, txn_config));
+                sim_, net_, node, i + 1, *clock, master_, directory_,
+                client_config, txn_config));
         }
     }
 
@@ -211,79 +171,10 @@ Cluster::Cluster(const ClusterConfig &config)
                 device->setFaultRng(config_.chaos->forkRng());
     }
 
-    // Declare the cross-partition communication topology for the
-    // scheduler's per-edge lookahead matrix: clients talk only to
-    // storage (hub), never to each other — so client partitions
-    // constrain one another only through the two-hop path via
-    // partition 0, and idle partitions stop constraining anyone.
-    // Every node's partition is set by now; see the declareRoute
-    // contract in net/network.hh.
-    if (fabric_ != nullptr) {
-        for (std::uint32_t i = 0; i < config_.numClients; ++i) {
-            const common::NodeId c = 1000 + i;
-            for (const auto &server : servers_) {
-                fabric_->declareRoute(c, server->nodeId());
-                fabric_->declareRoute(server->nodeId(), c);
-            }
-        }
-        fabric_->applyLookahead();
-    }
-
     if (config_.trace != nullptr)
         attachTracers();
     if (config_.metrics != nullptr)
         attachMetrics();
-}
-
-sim::Simulator &
-Cluster::sim()
-{
-    if (sched_ != nullptr)
-        PANIC("Cluster::sim() has no meaning with simThreads > 0; use "
-              "the now()/runUntil()/runFor() facade");
-    return sim_;
-}
-
-sim::Simulator &
-Cluster::rootSim()
-{
-    return sched_ != nullptr ? sched_->partition(0) : sim_;
-}
-
-std::uint32_t
-Cluster::clientPartition(std::uint32_t i) const
-{
-    return sched_ != nullptr ? 1 + i % clientPartitions_ : 0;
-}
-
-net::Network &
-Cluster::netFor(std::uint32_t p)
-{
-    return sched_ != nullptr ? *partNets_[p] : *net_;
-}
-
-net::Network &
-Cluster::network()
-{
-    return netFor(0);
-}
-
-common::TraceLog &
-Cluster::traceFor(std::uint32_t p)
-{
-    return sched_ != nullptr ? *partLogs_[p] : *config_.trace;
-}
-
-common::Time
-Cluster::now() const
-{
-    return sched_ != nullptr ? sched_->now() : sim_.now();
-}
-
-std::uint64_t
-Cluster::rawRunUntil(common::Time t)
-{
-    return sched_ != nullptr ? sched_->runUntil(t) : sim_.runUntil(t);
 }
 
 std::uint64_t
@@ -291,20 +182,17 @@ Cluster::runUntil(common::Time t)
 {
     common::ChaosEngine *chaos = config_.chaos;
     if (chaos == nullptr)
-        return rawRunUntil(t);
+        return sim_.runUntil(t);
     // Interleave simulation with the fault schedule: stop at each
-    // pending action time, mutate while quiescent (the same
-    // between-windows rule net::Fabric documents), resume. Identical
-    // in classic and partitioned mode, so chaos runs stay
-    // byte-identical for every simThreads value.
+    // pending action time, mutate while quiescent, resume.
     std::uint64_t events = 0;
     for (common::Time next = chaos->nextActionAt();
          next >= 0 && next <= t; next = chaos->nextActionAt()) {
         if (next > now())
-            events += rawRunUntil(next);
+            events += sim_.runUntil(next);
         chaos->applyUntil(now(), *this);
     }
-    events += rawRunUntil(t);
+    events += sim_.runUntil(t);
     return events;
 }
 
@@ -315,84 +203,29 @@ Cluster::runFor(common::Duration d, common::Duration grace)
     // measured span; the wind-down grace runs fault-schedule-free.
     std::uint64_t n = runUntil(now() + d);
     requestStop();
-    n += rawRunUntil(now() + grace);
+    n += sim_.runUntil(now() + grace);
     return n;
-}
-
-void
-Cluster::requestStop()
-{
-    if (sched_ != nullptr)
-        sched_->requestStop();
-    else
-        sim_.requestStop();
-}
-
-sim::Simulator &
-Cluster::clientSim(std::uint32_t i)
-{
-    return sched_ != nullptr ? sched_->partition(clientPartition(i))
-                             : sim_;
-}
-
-void
-Cluster::finishTrace()
-{
-    if (sched_ == nullptr || config_.trace == nullptr)
-        return;
-    std::vector<const common::TraceLog *> parts;
-    for (const auto &log : partLogs_)
-        parts.push_back(log.get());
-    common::mergeTraceLogs(parts, *config_.trace);
-    for (auto &log : partLogs_) {
-        traceLost_ += log->dropped();
-        log->clear();
-    }
 }
 
 void
 Cluster::attachTracers()
 {
-    if (sched_ != nullptr) {
-        // Each partition appends to its own log (appends happen on
-        // worker threads); ids are strided so span/trace ids stay
-        // globally unique and thread-count independent. finishTrace()
-        // merges the logs deterministically after the run.
-        const std::uint32_t parts = sched_->numPartitions();
-        for (std::uint32_t p = 0; p < parts; ++p) {
-            partLogs_.push_back(std::make_unique<common::TraceLog>(
-                config_.trace->capacity()));
-            partLogs_.back()->strideIds(p + 1, parts);
-        }
-        for (std::uint32_t p = 0; p < parts; ++p) {
-            sim::Simulator *psim = &sched_->partition(p);
-            const auto ptrue = [psim] { return psim->now(); };
-            partNets_[p]->tracer().attach(*partLogs_[p],
-                                          net::kNetworkNode, ptrue,
-                                          ptrue);
-        }
-    }
-
-    sim::Simulator *root = &rootSim();
-    const auto true_now = [root] { return root->now(); };
-    if (sched_ == nullptr) {
-        // The network has no drifted clock of its own; its net.rpc
-        // spans carry TrueTime in both stamps.
-        net_->tracer().attach(*config_.trace, net::kNetworkNode,
-                              true_now, true_now);
-    }
+    common::TraceLog &log = *config_.trace;
+    const auto true_now = [this] { return sim_.now(); };
+    // The network has no drifted clock of its own; its net.rpc spans
+    // carry TrueTime in both stamps.
+    net_.tracer().attach(log, net::kNetworkNode, true_now, true_now);
     if (config_.chaos != nullptr) {
-        // Inject/heal instants land on the storage partition's log;
-        // they are appended only at quiescent points, from the driver.
-        config_.chaos->tracer().attach(traceFor(0), net::kNetworkNode,
-                                       true_now, true_now);
+        // Inject/heal instants are appended only at quiescent points,
+        // from the harness.
+        config_.chaos->tracer().attach(log, net::kNetworkNode, true_now,
+                                       true_now);
     }
 
     for (std::size_t i = 0; i < servers_.size(); ++i) {
         milana::MilanaServer *server = servers_[i].get();
         clocksync::Clock *clock = serverClocks_[i].get();
         const auto local_now = [clock] { return clock->localNow(); };
-        common::TraceLog &log = traceFor(0);
         server->tracer().attach(log, server->nodeId(), true_now,
                                 local_now);
         if (devices_[i] != nullptr)
@@ -403,61 +236,37 @@ Cluster::attachTracers()
         milana::MilanaClient *client = clients_[i].get();
         clocksync::Clock *clock = &client->clock();
         const auto local_now = [clock] { return clock->localNow(); };
-        const std::uint32_t part = clientPartition(i);
-        sim::Simulator *psim = &clientSim(i);
-        const auto ptrue = [psim] { return psim->now(); };
-        client->tracer().attach(traceFor(part), client->nodeId(), ptrue,
+        client->tracer().attach(log, client->nodeId(), true_now,
                                 local_now);
         if (ensemble_ != nullptr)
-            ensemble_->agent(i).tracer().attach(*config_.trace,
-                                                client->nodeId(),
+            ensemble_->agent(i).tracer().attach(log, client->nodeId(),
                                                 true_now, local_now);
     }
-}
-
-common::MetricsRegistry &
-Cluster::metricsFor(std::uint32_t p)
-{
-    return sched_ != nullptr ? *partMetrics_[p] : *config_.metrics;
 }
 
 void
 Cluster::attachMetrics()
 {
-    if (sched_ != nullptr) {
-        // Mirror the per-partition trace logs: each partition samples
-        // only its own components, from its own simulator thread, into
-        // a private registry; finishMetrics() merges deterministically.
-        const common::MetricsRegistry &root = *config_.metrics;
-        const std::uint32_t parts = sched_->numPartitions();
-        for (std::uint32_t p = 0; p < parts; ++p)
-            partMetrics_.push_back(
-                std::make_unique<common::MetricsRegistry>(
-                    root.interval(), root.log().windowCapacity()));
-    }
-
-    // Storage stack: partition 0.
-    common::MetricsRegistry &m0 = metricsFor(0);
+    common::MetricsRegistry &m = *config_.metrics;
     for (std::size_t i = 0; i < servers_.size(); ++i) {
         const common::NodeId node = servers_[i]->nodeId();
-        m0.addStatSet("server.", node, servers_[i]->stats());
+        m.addStatSet("server.", node, servers_[i]->stats());
         if (devices_[i] != nullptr) {
             flash::SsdDevice *dev = devices_[i].get();
-            m0.addStatSet("flash.", node, dev->stats());
-            m0.addGauge("flash.ssd.inflight", node, [dev] {
+            m.addStatSet("flash.", node, dev->stats());
+            m.addGauge("flash.ssd.inflight", node, [dev] {
                 return static_cast<double>(dev->inflightOps());
             });
-            m0.addGauge("flash.ssd.queued", node, [dev] {
+            m.addGauge("flash.ssd.queued", node, [dev] {
                 return static_cast<double>(dev->queuedOps());
             });
-            m0.addGauge("flash.ssd.busy_channels", node, [dev] {
+            m.addGauge("flash.ssd.busy_channels", node, [dev] {
                 return static_cast<double>(dev->busyChannels());
             });
         }
     }
 
     for (std::uint32_t i = 0; i < config_.numClients; ++i) {
-        common::MetricsRegistry &m = metricsFor(clientPartition(i));
         milana::MilanaClient *client = clients_[i].get();
         m.addStatSet("client.", client->nodeId(), client->stats());
         clocksync::Clock *clock = &client->clock();
@@ -467,45 +276,34 @@ Cluster::attachMetrics()
     }
 
     if (ensemble_ != nullptr) {
-        // Classic mode only (partitioned mode requires Perfect
-        // clocks). Attributed to the network pseudo-node: the skew is
-        // a property of the whole ensemble, not of one client.
+        // Attributed to the network pseudo-node: the skew is a
+        // property of the whole ensemble, not of one client.
         clocksync::ClockEnsemble *ens = ensemble_.get();
-        m0.addStatSet("clocksync.", net::kNetworkNode,
-                      ensemble_->stats());
-        m0.addGauge("clocksync.max_pairwise_skew_ns", net::kNetworkNode,
-                    [ens] {
-                        return static_cast<double>(
-                            ens->instantaneousMaxPairwiseSkew());
-                    });
+        m.addStatSet("clocksync.", net::kNetworkNode, ensemble_->stats());
+        m.addGauge("clocksync.max_pairwise_skew_ns", net::kNetworkNode,
+                   [ens] {
+                       return static_cast<double>(
+                           ens->instantaneousMaxPairwiseSkew());
+                   });
     }
 
     if (config_.chaos != nullptr) {
         // Chaos bookkeeping rides the network pseudo-node: faults are
         // cluster-wide events, not any one node's. The gauge is a pure
-        // read (the engine mutates only between windows).
+        // read (the engine mutates only between run calls).
         common::ChaosEngine *chaos = config_.chaos;
-        m0.addStatSet("chaos.", net::kNetworkNode, chaos->stats());
-        m0.addGauge("chaos.active_faults", net::kNetworkNode, [chaos] {
+        m.addStatSet("chaos.", net::kNetworkNode, chaos->stats());
+        m.addGauge("chaos.active_faults", net::kNetworkNode, [chaos] {
             return static_cast<double>(chaos->activeCount());
         });
     }
 }
 
 void
-Cluster::startMetricsSamplers()
+Cluster::startMetricsSampler()
 {
-    if (sched_ != nullptr) {
-        sched_->enableProfile(config_.metrics->interval());
-        for (std::uint32_t p = 0; p < sched_->numPartitions(); ++p) {
-            partMetrics_[p]->prime();
-            scheduleFirstMetricsTick(sched_->partition(p),
-                                     partMetrics_[p].get());
-        }
-    } else {
-        config_.metrics->prime();
-        scheduleFirstMetricsTick(sim_, config_.metrics);
-    }
+    config_.metrics->prime();
+    scheduleFirstMetricsTick(sim_, config_.metrics);
 }
 
 void
@@ -514,64 +312,7 @@ Cluster::finishMetrics()
     if (config_.metrics == nullptr || metricsFinished_)
         return;
     metricsFinished_ = true;
-    const common::Time end = now();
-    if (sched_ == nullptr) {
-        flushRegistry(*config_.metrics, end);
-        return;
-    }
-    sched_->flushProfile();
-    std::vector<const common::TimeSeriesLog *> parts;
-    for (auto &reg : partMetrics_) {
-        flushRegistry(*reg, end);
-        parts.push_back(&reg->log());
-    }
-    common::mergeTimeSeries(parts, config_.metrics->log());
-
-    // Scheduler self-profile -> sched.* series. Events and mailbox
-    // traffic are pure functions of the event schedule ("node" is the
-    // partition index); the barrier wall-clock stall is real time and
-    // goes into the non-deterministic section.
-    common::TimeSeriesLog &log = config_.metrics->log();
-    for (const auto &row : sched_->profile()) {
-        common::MetricPoint p;
-        p.windowStart = row.windowStart;
-        p.windowEnd = row.windowEnd;
-        for (std::size_t part = 0; part < row.events.size(); ++part) {
-            const auto node = static_cast<common::NodeId>(part);
-            p.value = static_cast<double>(row.events[part]);
-            log.addPoint("sched.events", node,
-                         common::SeriesKind::Counter, p);
-            p.value = static_cast<double>(row.mailbox[part]);
-            log.addPoint("sched.mailbox_in", node,
-                         common::SeriesKind::Counter, p);
-        }
-        p.value = static_cast<double>(row.windows);
-        log.addPoint("sched.windows", 0, common::SeriesKind::Counter,
-                     p);
-        p.value = static_cast<double>(row.skipped);
-        log.addPoint("sched.windows_skipped", 0,
-                     common::SeriesKind::Counter, p);
-        p.value = static_cast<double>(row.barriers);
-        log.addPoint("sched.barriers", 0,
-                     common::SeriesKind::Counter, p);
-        p.value = static_cast<double>(row.wallNs);
-        log.addPoint("sched.window_wall_ns", 0,
-                     common::SeriesKind::Counter, p,
-                     /*deterministic=*/false);
-    }
-}
-
-Cluster::SchedStats
-Cluster::schedStats() const
-{
-    SchedStats s;
-    if (sched_ == nullptr)
-        return s;
-    s.windows = sched_->windowsExecuted();
-    s.skipped = sched_->windowsSkipped();
-    s.barriers = sched_->barriersCrossed();
-    s.events = sched_->eventsExecuted();
-    return s;
+    flushRegistry(*config_.metrics, now());
 }
 
 Cluster::~Cluster() = default;
@@ -580,7 +321,6 @@ void
 Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
 {
     const common::NodeId node = shard * config_.replicasPerShard + replica;
-    sim::Simulator &sim = rootSim();
 
     // Size the device for this shard's share of the key space (with
     // margin for hash imbalance), at the configured utilization.
@@ -596,7 +336,7 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
         sftls_.push_back(nullptr);
         ftl::DramBackend::Config cfg;
         cfg.expectedKeys = shard_keys;
-        auto dram = std::make_unique<ftl::DramBackend>(sim, cfg);
+        auto dram = std::make_unique<ftl::DramBackend>(sim_, cfg);
         backend = dram.get();
         backends_.push_back(std::move(dram));
         break;
@@ -606,12 +346,12 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
                                               config_.deviceUtilization);
         geo.numChannels = config_.deviceChannels;
         devices_.push_back(
-            std::make_unique<flash::SsdDevice>(sim, geo));
+            std::make_unique<flash::SsdDevice>(sim_, geo));
         sftls_.push_back(nullptr);
         ftl::Mftl::Config cfg;
         cfg.recordSize = config_.recordSize;
         cfg.expectedKeys = shard_keys;
-        auto mftl = std::make_unique<ftl::Mftl>(sim, *devices_.back(),
+        auto mftl = std::make_unique<ftl::Mftl>(sim_, *devices_.back(),
                                                 cfg);
         backend = mftl.get();
         backends_.push_back(std::move(mftl));
@@ -622,13 +362,13 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
                                               config_.deviceUtilization);
         geo.numChannels = config_.deviceChannels;
         devices_.push_back(
-            std::make_unique<flash::SsdDevice>(sim, geo));
+            std::make_unique<flash::SsdDevice>(sim_, geo));
         sftls_.push_back(std::make_unique<ftl::Sftl>(
-            sim, *devices_.back(), ftl::Sftl::Config{}));
+            sim_, *devices_.back(), ftl::Sftl::Config{}));
         ftl::Vftl::Config cfg;
         cfg.recordSize = config_.recordSize;
         cfg.expectedKeys = shard_keys;
-        auto vftl = std::make_unique<ftl::Vftl>(sim, *sftls_.back(),
+        auto vftl = std::make_unique<ftl::Vftl>(sim_, *sftls_.back(),
                                                 cfg);
         backend = vftl.get();
         backends_.push_back(std::move(vftl));
@@ -640,14 +380,14 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
             config_.numKeys * config_.recordSize, 0.5);
         geo.numChannels = config_.deviceChannels;
         devices_.push_back(
-            std::make_unique<flash::SsdDevice>(sim, geo));
+            std::make_unique<flash::SsdDevice>(sim_, geo));
         sftls_.push_back(std::make_unique<ftl::Sftl>(
-            sim, *devices_.back(), ftl::Sftl::Config{}));
+            sim_, *devices_.back(), ftl::Sftl::Config{}));
         ftl::SingleVersionKv::Config cfg;
         cfg.recordSize = config_.recordSize;
         cfg.capacityKeys = config_.numKeys;
         auto kv = std::make_unique<ftl::SingleVersionKv>(
-            sim, *sftls_.back(), cfg);
+            sim_, *sftls_.back(), cfg);
         backend = kv.get();
         backends_.push_back(std::move(kv));
         break;
@@ -655,7 +395,7 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
     }
 
     serverClocks_.push_back(
-        std::make_unique<clocksync::PerfectClock>(sim));
+        std::make_unique<clocksync::PerfectClock>(sim_));
 
     semel::Server::Config server_config;
     server_config.backupAcksNeeded =
@@ -671,7 +411,7 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
     milana_config.enableLeases = config_.replicasPerShard > 1;
 
     servers_.push_back(std::make_unique<milana::MilanaServer>(
-        sim, netFor(0), node, shard, *backend, *serverClocks_.back(),
+        sim_, net_, node, shard, *backend, *serverClocks_.back(),
         server_config, milana_config, master_, directory_));
     directory_.add(servers_.back().get());
 }
@@ -719,15 +459,9 @@ Cluster::populate()
             --*remaining;
         }(this, w, workers, remaining));
     }
-    // Populate runs entirely on the storage partition (the servers all
-    // live there), single-threaded even in partitioned mode.
-    rootSim().run();
+    sim_.run();
     if (*remaining != 0)
         PANIC("population did not finish");
-    // Partition 0 is now ahead of the (still-empty) client partitions;
-    // fast-forward them so the first real window starts aligned.
-    if (sched_ != nullptr)
-        sched_->alignNow();
 }
 
 void
@@ -746,7 +480,7 @@ Cluster::start()
     for (auto &client : clients_)
         client->start();
     if (config_.metrics != nullptr)
-        startMetricsSamplers();
+        startMetricsSampler();
 }
 
 common::StatSet
@@ -794,7 +528,7 @@ Cluster::avgClientSkew() const
 void
 Cluster::crashServer(common::NodeId node)
 {
-    network().setNodeDown(node, true);
+    net_.setNodeDown(node, true);
 }
 
 std::vector<common::NodeId>
@@ -884,7 +618,7 @@ Cluster::applyFault(const common::FaultSpec &fault, bool start)
     switch (fault.kind) {
       case FaultKind::NodeCrash:
         for (common::NodeId node : resolveSel(fault.selA)) {
-            netFor(0).setNodeDown(node, start);
+            net_.setNodeDown(node, start);
             if (start && fault.failover && node < 1000) {
                 // Promote the first surviving backup of the crashed
                 // node's shard, mirroring what an external failure
@@ -905,9 +639,9 @@ Cluster::applyFault(const common::FaultSpec &fault, bool start)
                 if (from == to)
                     continue;
                 if (fault.oneway)
-                    netFor(0).setLinkBrokenOneWay(from, to, start);
+                    net_.setLinkBrokenOneWay(from, to, start);
                 else
-                    netFor(0).setLinkBroken(from, to, start);
+                    net_.setLinkBroken(from, to, start);
             }
         }
         break;
@@ -915,7 +649,7 @@ Cluster::applyFault(const common::FaultSpec &fault, bool start)
         const double factor = start ? fault.magnitude : 1.0;
         if (fault.selA.kind == common::NodeSel::Kind::All &&
             fault.selB.kind == common::NodeSel::Kind::None) {
-            netFor(0).setDelayFactor(factor);
+            net_.setDelayFactor(factor);
             break;
         }
         const auto a = resolveSel(fault.selA);
@@ -926,7 +660,7 @@ Cluster::applyFault(const common::FaultSpec &fault, bool start)
         for (common::NodeId from : a)
             for (common::NodeId to : b)
                 if (from != to)
-                    netFor(0).setLinkDelayFactor(from, to, factor);
+                    net_.setLinkDelayFactor(from, to, factor);
         break;
       }
       case FaultKind::ClockStep:

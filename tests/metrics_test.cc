@@ -5,12 +5,7 @@
  * quantiles), TimeSeriesLog ring behavior, sampler window alignment
  * on interval boundaries, counter-delta conservation against final
  * StatSet totals, and — the property CI byte-compares — identical
- * deterministic exports for every --sim-threads value.
- *
- * This suite doubles as a TSan gate (ctest -R tsan_metrics in a
- * -DMILANA_SANITIZE=thread build): the multi-thread cases exercise
- * per-partition registries and the scheduler self-profiler on real
- * worker threads.
+ * deterministic exports for every run of the same seed.
  */
 
 #include <cstdint>
@@ -145,27 +140,6 @@ TEST(MetricsRegistry, HistogramWindowQuantilesAreWindowLocal)
     EXPECT_GT(points[0].p999, points[1].p999);
 }
 
-TEST(TimeSeriesLog, MergeIsInputOrderIndependentPerSeries)
-{
-    TimeSeriesLog a(kInterval), b(kInterval), m1(kInterval),
-        m2(kInterval);
-    MetricPoint p1, p2;
-    p1.windowStart = 0;
-    p1.windowEnd = kInterval;
-    p1.value = 1;
-    p2.windowStart = kInterval;
-    p2.windowEnd = 2 * kInterval;
-    p2.value = 2;
-    a.addPoint("s", 0, SeriesKind::Gauge, p1);
-    b.addPoint("s", 0, SeriesKind::Gauge, p2);
-    common::mergeTimeSeries({&a, &b}, m1);
-    common::mergeTimeSeries({&b, &a}, m2);
-    std::ostringstream o1, o2;
-    m1.writeJson(o1, false);
-    m2.writeJson(o2, false);
-    EXPECT_EQ(o1.str(), o2.str());
-}
-
 /** A small fig6-style cell with the metrics plane on. */
 struct CellRun
 {
@@ -177,7 +151,7 @@ struct CellRun
 };
 
 CellRun
-runCell(std::uint32_t sim_threads, common::Duration measure)
+runCell(common::Duration measure)
 {
     MetricsRegistry metrics(kInterval);
 
@@ -189,7 +163,6 @@ runCell(std::uint32_t sim_threads, common::Duration measure)
     cfg.clocks = ClockKind::Perfect;
     cfg.numKeys = 500;
     cfg.seed = 1;
-    cfg.simThreads = sim_threads;
     cfg.metrics = &metrics;
 
     Cluster cluster(cfg);
@@ -228,7 +201,7 @@ runCell(std::uint32_t sim_threads, common::Duration measure)
 
 TEST(MetricsPlane, WindowsAlignToIntervalBoundaries)
 {
-    const CellRun run = runCell(0, 230 * kMillisecond);
+    const CellRun run = runCell(230 * kMillisecond);
     ASSERT_FALSE(run.commitPoints.empty());
     for (std::size_t i = 0; i < run.commitPoints.size(); ++i) {
         const MetricPoint &p = run.commitPoints[i];
@@ -249,7 +222,7 @@ TEST(MetricsPlane, WindowsAlignToIntervalBoundaries)
 
 TEST(MetricsPlane, CounterDeltasSumToFinalTotals)
 {
-    const CellRun run = runCell(0, kSecond / 4);
+    const CellRun run = runCell(kSecond / 4);
     ASSERT_GT(run.committed, 0u);
     double sum = 0.0;
     for (const MetricPoint &p : run.commitPoints)
@@ -257,31 +230,15 @@ TEST(MetricsPlane, CounterDeltasSumToFinalTotals)
     EXPECT_EQ(static_cast<std::uint64_t>(sum), run.committed);
 }
 
-TEST(MetricsPlane, DeterministicExportsIdenticalAcrossSimThreads)
+TEST(MetricsPlane, DeterministicExportsIdenticalAcrossRepeats)
 {
-    const CellRun one = runCell(1, kSecond / 2);
+    const CellRun one = runCell(kSecond / 2);
     ASSERT_GT(one.committed, 100u); // guard: the workload really ran
     EXPECT_NE(one.json.find("client.txn.committed"), std::string::npos);
-    EXPECT_NE(one.json.find("sched.events"), std::string::npos);
 
-    const CellRun two = runCell(2, kSecond / 2);
+    const CellRun two = runCell(kSecond / 2);
     EXPECT_EQ(one.json, two.json);
     EXPECT_EQ(one.csv, two.csv);
-    const CellRun eight = runCell(8, kSecond / 2);
-    EXPECT_EQ(one.json, eight.json);
-    EXPECT_EQ(one.csv, eight.csv);
-}
-
-TEST(MetricsPlane, PartitionedDeltasSumToFinalTotals)
-{
-    // Same conservation law as the classic path, but through the
-    // per-partition registries + deterministic merge.
-    const CellRun run = runCell(2, kSecond / 4);
-    ASSERT_GT(run.committed, 0u);
-    double sum = 0.0;
-    for (const MetricPoint &p : run.commitPoints)
-        sum += p.value;
-    EXPECT_EQ(static_cast<std::uint64_t>(sum), run.committed);
 }
 
 } // namespace

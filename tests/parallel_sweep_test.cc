@@ -1,7 +1,8 @@
 /**
  * @file
  * SweepRunner contract tests: every cell runs exactly once regardless
- * of the job count, exceptions propagate, and — the property the whole
+ * of the job count, exceptions propagate, bench::Args rejects flags no
+ * harness asked for, and — the property the whole
  * parallel-sweep design rests on — a fig6-style grid of Cluster
  * simulations produces a byte-identical milana-bench-v1 report whether
  * it runs on 1 worker or 8.
@@ -75,6 +76,43 @@ TEST(SweepRunner, JobsClampedToAtLeastOne)
     int ran = 0;
     runner.run(3, [&](std::size_t) { ++ran; });
     EXPECT_EQ(ran, 3);
+}
+
+/** bench::Args over literal flag tokens (argv[0] is supplied). */
+bench::Args
+makeArgs(std::vector<std::string> flags)
+{
+    flags.insert(flags.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &flag : flags)
+        argv.push_back(flag.data());
+    return bench::Args(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchArgs, QueriedFlagsAreAccepted)
+{
+    const bench::Args args = makeArgs(
+        {"--seconds=2", "--trace", "out.json", "--full", "--json=r.json"});
+    EXPECT_EQ(args.getInt("seconds", 4), 2);
+    EXPECT_EQ(args.getString("trace", ""), "out.json");
+    EXPECT_TRUE(args.has("full"));
+    EXPECT_EQ(args.getInt("keys", 7), 7); // asked for, absent
+    args.rejectUnknown();                 // returns: all flags known
+}
+
+TEST(BenchArgsDeathTest, UnknownFlagExitsWithStatus2)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto run = [](std::vector<std::string> flags) {
+        const bench::Args args = makeArgs(std::move(flags));
+        args.getInt("seconds", 4);
+        args.rejectUnknown();
+    };
+    EXPECT_EXIT(run({"--secnds=1"}), ::testing::ExitedWithCode(2),
+                "unknown flag --secnds");
+    EXPECT_EXIT(run({"--seconds=1", "--jobz=8"}),
+                ::testing::ExitedWithCode(2),
+                "unknown flag --jobz");
 }
 
 /** One fig6-style cell: a private Cluster + Retwis fleet. */

@@ -3,16 +3,15 @@
  * Offline analyzer for `milana-metrics-v1` time-series dumps
  * (--metrics=PATH on the benches and tools/milana-sim).
  *
- *   metrics-report [--sched] <metrics.json>
+ *   metrics-report <metrics.json>
  *
  * Prints a windowed timeline correlating the transaction abort rate
  * (from the client.txn.committed / client.txn.aborted counter deltas,
  * summed across client nodes) with the instantaneous clock skew (the
  * clocksync.max_pairwise_skew_ns gauge when present, else max-min over
  * the per-node clocksync.offset_ns gauges), then the Pearson
- * correlation between the two. With --sched it also summarizes the
- * scheduler self-profiler series (sched.*) when the run was
- * partitioned. Exit codes: 0 ok, 1 I/O or parse error, 2 usage.
+ * correlation between the two. Exit codes: 0 ok, 1 I/O or parse
+ * error, 2 usage.
  */
 
 #include <algorithm>
@@ -116,12 +115,9 @@ int
 main(int argc, char **argv)
 {
     std::string path;
-    bool wantSched = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--sched") {
-            wantSched = true;
-        } else if (!arg.empty() && arg[0] == '-') {
+        if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "error: unknown option %s\n",
                          arg.c_str());
             return 2;
@@ -135,11 +131,9 @@ main(int argc, char **argv)
     if (path.empty()) {
         std::fprintf(
             stderr,
-            "usage: metrics-report [--sched] <metrics.json>\n"
+            "usage: metrics-report <metrics.json>\n"
             "analyzes a milana-metrics-v1 time-series dump; see "
-            "OBSERVABILITY.md\n"
-            "  --sched  also summarize the scheduler self-profiler "
-            "series\n");
+            "OBSERVABILITY.md\n");
         return 2;
     }
 
@@ -222,7 +216,7 @@ main(int argc, char **argv)
         }
     }
     // Fallback: derive max pairwise skew from per-node offsets when
-    // the cluster-wide gauge is absent (partitioned runs).
+    // the cluster-wide gauge is absent (no clock ensemble).
     for (auto &[start, w] : windows) {
         (void)start;
         if (!w.haveSkewGauge && w.haveOffset)
@@ -288,76 +282,5 @@ main(int argc, char **argv)
                         samples.size());
     }
 
-    // ---- optional scheduler self-profiler summary ------------------
-    if (wantSched) {
-        std::map<std::uint32_t, double> eventsByPart, mailByPart;
-        double wallNs = 0.0, schedWindows = 0.0;
-        double schedSkipped = 0.0, schedBarriers = 0.0;
-        bool any = false;
-        for (const Series &s : series) {
-            for (const Point &p : s.points) {
-                if (s.name == "sched.events") {
-                    eventsByPart[s.node] += p.value;
-                    any = true;
-                } else if (s.name == "sched.mailbox_in") {
-                    mailByPart[s.node] += p.value;
-                    any = true;
-                } else if (s.name == "sched.windows") {
-                    schedWindows += p.value;
-                    any = true;
-                } else if (s.name == "sched.windows_skipped") {
-                    schedSkipped += p.value;
-                    any = true;
-                } else if (s.name == "sched.barriers") {
-                    schedBarriers += p.value;
-                    any = true;
-                } else if (s.name == "sched.window_wall_ns") {
-                    wallNs += p.value;
-                    any = true;
-                }
-            }
-        }
-        if (!any) {
-            std::printf("\nno sched.* series (run was not "
-                        "partitioned, or profiling was off)\n");
-        } else {
-            std::printf("\n--- scheduler self-profile ---\n");
-            std::printf("%10s %14s %14s\n", "partition", "events",
-                        "mailbox in");
-            double totalEvents = 0.0;
-            for (const auto &[part, events] : eventsByPart) {
-                std::printf("%10u %14.0f %14.0f\n", part, events,
-                            mailByPart.count(part)
-                                ? mailByPart.at(part)
-                                : 0.0);
-                totalEvents += events;
-            }
-            std::printf("%10s %14.0f\n", "total", totalEvents);
-            if (schedWindows > 0.0) {
-                std::printf("windows executed: %.0f (%.1f events/"
-                            "window)%s\n",
-                            schedWindows, totalEvents / schedWindows,
-                            wallNs > 0.0 ? "" : " [no wall-clock "
-                                               "series]");
-                // Skipped = fixed-width reference windows the adaptive
-                // engine jumped over; barriers = multi-partition
-                // windows, the only ones that ever wake workers.
-                std::printf("windows skipped: %.0f (%.1fx fewer than "
-                            "fixed-width)\n",
-                            schedSkipped,
-                            (schedWindows + schedSkipped) /
-                                schedWindows);
-                std::printf("worker barriers: %.0f (%.1f%% of "
-                            "windows)\n",
-                            schedBarriers,
-                            100.0 * schedBarriers / schedWindows);
-            }
-            if (wallNs > 0.0 && schedWindows > 0.0)
-                std::printf("wall clock in windows: %.1f ms (%.1f us/"
-                            "window) [non-deterministic]\n",
-                            wallNs / 1e6,
-                            wallNs / 1e3 / schedWindows);
-        }
-    }
     return 0;
 }

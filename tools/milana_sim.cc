@@ -94,12 +94,6 @@ main(int argc, char **argv)
             "  --no-local-validation           --centiman\n"
             "  --seconds=N --warmup=N          --crash-at=N (crash "
             "shard 0's primary)\n"
-            "  --sim-threads=N (parallel DES inside the one scenario;\n"
-            "                   requires --clocks=perfect, no "
-            "--centiman,\n"
-            "                   no --crash-at; output byte-identical "
-            "for\n"
-            "                   every N>=1)\n"
             "  --chaos=PATH (fault schedule, see docs/CHAOS.md; armed\n"
             "                when measurement starts — times are "
             "relative\n"
@@ -133,14 +127,33 @@ main(int argc, char **argv)
     cfg.clocks = parseClocks(args.getString("clocks", "ptp"));
     cfg.localValidation = !args.has("no-local-validation");
     cfg.centiman = args.has("centiman");
-    cfg.simThreads =
-        static_cast<std::uint32_t>(args.getInt("sim-threads", 0));
 
+    RetwisConfig retwis;
+    retwis.alpha = args.getDouble("alpha", 0.6);
+    retwis.numKeys = cfg.numKeys;
+    retwis.readHeavy = args.has("read-heavy");
+    retwis.seed = cfg.seed + 100;
+
+    const auto warmup = args.getInt("warmup", 1) * kSecond;
+    const auto measure = args.getInt("seconds", 5) * kSecond;
+    const auto crash_at = args.getInt("crash-at", -1);
     const std::string chaos_path = args.getString("chaos", "");
+    const std::int64_t chaos_seed = args.getInt("chaos-seed", 42);
+    const std::string trace_path = args.getString("trace", "");
+    const std::string perfetto_path = args.getString("perfetto", "");
+    const bool monitor_on = args.has("monitor");
+    const auto trace_capacity =
+        static_cast<std::size_t>(args.getInt("trace-capacity", 262'144));
+    const std::string metrics_path = args.getString("metrics", "");
+    const common::Duration metrics_interval =
+        args.getDuration("metrics-interval", 100 * common::kMillisecond);
+    const bool dump_stats = args.has("dump-stats");
+    args.rejectUnknown();
+
     std::unique_ptr<common::ChaosEngine> chaos;
     if (!chaos_path.empty()) {
         chaos = std::make_unique<common::ChaosEngine>(
-            static_cast<std::uint64_t>(args.getInt("chaos-seed", 42)));
+            static_cast<std::uint64_t>(chaos_seed));
         std::string error;
         if (!chaos->parseFile(chaos_path, &error)) {
             std::fprintf(stderr, "error: %s: %s\n", chaos_path.c_str(),
@@ -150,22 +163,15 @@ main(int argc, char **argv)
         cfg.chaos = chaos.get();
     }
 
-    const std::string trace_path = args.getString("trace", "");
-    const std::string perfetto_path = args.getString("perfetto", "");
-    const bool monitor_on = args.has("monitor");
     std::unique_ptr<common::TraceLog> trace;
     if (!trace_path.empty() || !perfetto_path.empty() || monitor_on) {
-        trace = std::make_unique<common::TraceLog>(
-            static_cast<std::size_t>(
-                args.getInt("trace-capacity", 262'144)));
+        trace = std::make_unique<common::TraceLog>(trace_capacity);
         cfg.trace = trace.get();
     }
-    const std::string metrics_path = args.getString("metrics", "");
     std::unique_ptr<common::MetricsRegistry> metrics;
     if (!metrics_path.empty()) {
         metrics = std::make_unique<common::MetricsRegistry>(
-            args.getDuration("metrics-interval",
-                             100 * common::kMillisecond));
+            metrics_interval);
         cfg.metrics = metrics.get();
     }
     std::unique_ptr<common::InvariantMonitor> monitor;
@@ -179,25 +185,6 @@ main(int argc, char **argv)
         monitor = std::make_unique<common::InvariantMonitor>(mcfg,
                                                              &std::cerr);
         monitor->attach(*trace);
-    }
-
-    RetwisConfig retwis;
-    retwis.alpha = args.getDouble("alpha", 0.6);
-    retwis.numKeys = cfg.numKeys;
-    retwis.readHeavy = args.has("read-heavy");
-    retwis.seed = cfg.seed + 100;
-
-    const auto warmup = args.getInt("warmup", 1) * kSecond;
-    const auto measure = args.getInt("seconds", 5) * kSecond;
-    const auto crash_at = args.getInt("crash-at", -1);
-    if (cfg.simThreads > 0 && crash_at >= 0) {
-        // The crash ticker schedules a raw harness callback on the
-        // single simulator; in partitioned mode there is no such
-        // simulator (and failover's recovery RPCs would need a
-        // partition-aware driver).
-        std::fprintf(stderr, "error: --crash-at is not supported with "
-                             "--sim-threads > 0\n");
-        return 2;
     }
 
     std::printf("milana_sim: %u shard(s) x %u replica(s), %u clients, "
@@ -248,11 +235,9 @@ main(int argc, char **argv)
         chaos->arm(cluster.now());
         std::printf("chaos armed: %zu fault(s) from %s (seed %lld)\n",
                     chaos->faultCount(), chaos_path.c_str(),
-                    static_cast<long long>(
-                        args.getInt("chaos-seed", 42)));
+                    static_cast<long long>(chaos_seed));
     }
     cluster.runFor(measure);
-    cluster.finishTrace();
     cluster.finishMetrics();
 
     const double seconds = common::toSeconds(measure);
@@ -283,7 +268,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(clients.counterValue(
                     "txn.local_validation_fail")));
 
-    if (args.has("dump-stats")) {
+    if (dump_stats) {
         std::printf("\n--- client stats ---\n%s",
                     clients.dump("  ").c_str());
         std::printf("--- server stats ---\n%s",
@@ -292,7 +277,7 @@ main(int argc, char **argv)
                     cluster.network().stats().dump("  ").c_str());
     }
 
-    if (trace != nullptr) {
+    if (!trace_path.empty()) {
         std::ofstream os(trace_path);
         if (!os) {
             std::fprintf(stderr, "error: cannot write %s\n",
@@ -342,7 +327,7 @@ main(int argc, char **argv)
     if (chaos != nullptr) {
         report.params()
             .set("chaos", chaos_path)
-            .set("chaos_seed", args.getInt("chaos-seed", 42))
+            .set("chaos_seed", chaos_seed)
             .set("chaos_injections", chaos->injections())
             .set("chaos_heals", chaos->heals());
     }
