@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for the experiment harnesses: a tiny flag parser
- * (--name=value), table printing, and the machine-readable report
- * writer behind every harness's --json flag. Every bench accepts:
+ * (--name=value), table printing, the machine-readable report writer
+ * behind every harness's --json flag, and the trace/metrics/monitor
+ * outputs of one observed run (RunOutputs). Every bench accepts:
  *
  *   --seconds=N   simulated measurement seconds per cell
  *   --warmup=N    simulated warm-up seconds (excluded from stats)
@@ -13,7 +14,8 @@
  *
  * A harness reads all of its flags first, then calls
  * Args::rejectUnknown(), so a mistyped or retired flag stops the run
- * instead of being silently ignored.
+ * instead of being silently ignored. A numeric value that does not
+ * parse stops it the same way (exit status 2).
  *
  * Defaults are sized so the whole bench suite finishes in minutes of
  * wall time while preserving the paper's shapes; EXPERIMENTS.md records
@@ -23,11 +25,14 @@
 #ifndef BENCH_BENCH_UTIL_HH
 #define BENCH_BENCH_UTIL_HH
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
+#include <memory>
 #include <ostream>
 #include <set>
 #include <string>
@@ -36,10 +41,13 @@
 #include <variant>
 #include <vector>
 
+#include "common/invariant_monitor.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
 #include "common/stats.hh"
+#include "common/trace.hh"
 #include "common/types.hh"
+#include "workload/cluster.hh"
 
 namespace bench {
 
@@ -55,25 +63,29 @@ class Args
     double
     getDouble(const std::string &name, double def) const
     {
-        queried_.insert(name);
-        const std::string prefix = "--" + name + "=";
-        for (const auto &a : args_) {
-            if (a.rfind(prefix, 0) == 0)
-                return std::atof(a.c_str() + prefix.size());
-        }
-        return def;
+        const char *text = value(name);
+        if (text == nullptr)
+            return def;
+        char *end = nullptr;
+        errno = 0;
+        const double v = std::strtod(text, &end);
+        if (end == text || *end != '\0' || errno == ERANGE)
+            badValue(name, text);
+        return v;
     }
 
     std::int64_t
     getInt(const std::string &name, std::int64_t def) const
     {
-        queried_.insert(name);
-        const std::string prefix = "--" + name + "=";
-        for (const auto &a : args_) {
-            if (a.rfind(prefix, 0) == 0)
-                return std::atoll(a.c_str() + prefix.size());
-        }
-        return def;
+        const char *text = value(name);
+        if (text == nullptr)
+            return def;
+        char *end = nullptr;
+        errno = 0;
+        const long long v = std::strtoll(text, &end, 10);
+        if (end == text || *end != '\0' || errno == ERANGE)
+            badValue(name, text);
+        return v;
     }
 
     std::string
@@ -107,7 +119,7 @@ class Args
     /**
      * A duration flag with unit suffix: "100ms", "250us", "2s",
      * "500ns". A bare number means milliseconds (the natural unit for
-     * sampling intervals). Returns @p def when absent or malformed.
+     * sampling intervals). Returns @p def when absent.
      */
     common::Duration
     getDuration(const std::string &name, common::Duration def) const
@@ -118,7 +130,7 @@ class Args
         char *end = nullptr;
         const double n = std::strtod(text.c_str(), &end);
         if (end == text.c_str())
-            return def;
+            badValue(name, text.c_str());
         const std::string unit(end);
         double scale = static_cast<double>(common::kMillisecond);
         if (unit == "ns")
@@ -130,7 +142,7 @@ class Args
         else if (unit == "s")
             scale = static_cast<double>(common::kSecond);
         else
-            return def;
+            badValue(name, text.c_str());
         return static_cast<common::Duration>(n * scale);
     }
 
@@ -156,42 +168,188 @@ class Args
     }
 
   private:
+    /** The text after "--name=", or nullptr when the flag is absent. */
+    const char *
+    value(const std::string &name) const
+    {
+        queried_.insert(name);
+        const std::string prefix = "--" + name + "=";
+        for (const auto &a : args_) {
+            if (a.rfind(prefix, 0) == 0)
+                return a.c_str() + prefix.size();
+        }
+        return nullptr;
+    }
+
+    /** Exit with status 2 (like rejectUnknown) on an unparsable value. */
+    [[noreturn]] static void
+    badValue(const std::string &name, const char *text)
+    {
+        std::fprintf(stderr, "error: bad value for --%s: %s\n",
+                     name.c_str(), text);
+        std::exit(2);
+    }
+
     std::vector<std::string> args_;
     /** Every flag name a getter was asked for. */
     mutable std::set<std::string> queried_;
 };
 
-/**
- * Write a TimeSeriesLog as the `milana-metrics-v1` JSON document at
- * @p path plus a sibling CSV of its deterministic series (PATH with
- * a .json suffix swapped for .csv, else PATH + ".csv"). Exits on I/O
- * error, like Report::write.
- */
-inline void
-writeMetricsOutputs(const common::TimeSeriesLog &log,
-                    const std::string &path)
+/** Open @p path for writing; exits 1 on failure, so scripted
+ *  pipelines fail loudly rather than read a stale file. */
+inline std::ofstream
+openOutput(const std::string &path)
 {
     std::ofstream os(path);
     if (!os) {
         std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
         std::exit(1);
     }
-    log.writeJson(os);
-    std::string csv_path = path;
-    if (csv_path.size() >= 5 &&
-        csv_path.compare(csv_path.size() - 5, 5, ".json") == 0)
-        csv_path.resize(csv_path.size() - 5);
-    csv_path += ".csv";
-    std::ofstream cs(csv_path);
-    if (!cs) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     csv_path.c_str());
-        std::exit(1);
-    }
-    log.writeCsv(cs);
-    std::printf("wrote %s and %s (%zu series)\n", path.c_str(),
-                csv_path.c_str(), log.seriesCount());
+    return os;
 }
+
+/**
+ * The observability outputs of one simulated run, shared by fig6's
+ * traced cell and tools/milana-sim. Reads these flags:
+ *
+ *   --trace=PATH          event trace (.csv extension = CSV, else JSON)
+ *   --perfetto=PATH       Chrome/Perfetto trace-event JSON
+ *   --monitor             online invariant checks over the trace
+ *   --trace-capacity=N    trace ring size in events (default 262144)
+ *   --metrics=PATH        milana-metrics-v1 JSON plus a sibling CSV
+ *   --metrics-interval=D  sampling window (default 100ms; ns/us/ms/s)
+ *
+ * arm() the ClusterConfig of the run before building its Cluster, and
+ * write() once the run is over. This object owns the trace, metrics
+ * registry and monitor, so it must outlive the Cluster.
+ */
+class RunOutputs
+{
+  public:
+    explicit RunOutputs(const Args &args)
+        : tracePath_(args.getString("trace", "")),
+          perfettoPath_(args.getString("perfetto", "")),
+          metricsPath_(args.getString("metrics", "")),
+          monitorOn_(args.has("monitor")),
+          traceCapacity_(static_cast<std::size_t>(
+              args.getInt("trace-capacity", 262'144))),
+          metricsInterval_(args.getDuration("metrics-interval",
+                                            100 * common::kMillisecond))
+    {
+    }
+
+    /** True when any flag asks for an output. */
+    bool any() const { return traced() || !metricsPath_.empty(); }
+
+    const std::string &tracePath() const { return tracePath_; }
+
+    /**
+     * The monitor checks that are sound for @p cfg. Single-version
+     * FTLs legitimately return versions newer than the snapshot and
+     * rely on validation to abort; replication-before-ack needs
+     * backups.
+     */
+    static common::InvariantMonitor::Config
+    monitorConfig(const workload::ClusterConfig &cfg)
+    {
+        common::InvariantMonitor::Config mcfg;
+        mcfg.checkSnapshotReads =
+            cfg.backend != workload::BackendKind::SingleVersion;
+        mcfg.checkReplicationBeforeAck = cfg.replicasPerShard > 1;
+        return mcfg;
+    }
+
+    /** Create the trace, metrics and monitor the flags ask for and
+     *  wire them into @p cfg. Call once. */
+    void
+    arm(workload::ClusterConfig &cfg)
+    {
+        if (traced()) {
+            trace_ = std::make_unique<common::TraceLog>(traceCapacity_);
+            cfg.trace = trace_.get();
+        }
+        if (!metricsPath_.empty()) {
+            metrics_ =
+                std::make_unique<common::MetricsRegistry>(metricsInterval_);
+            cfg.metrics = metrics_.get();
+        }
+        if (monitorOn_) {
+            monitor_ = std::make_unique<common::InvariantMonitor>(
+                monitorConfig(cfg), &std::cerr);
+            monitor_->attach(*trace_);
+        }
+    }
+
+    /** Write the trace, Perfetto and metrics files the flags name. */
+    void
+    write() const
+    {
+        if (!tracePath_.empty()) {
+            std::ofstream os = openOutput(tracePath_);
+            if (tracePath_.size() >= 4 &&
+                tracePath_.compare(tracePath_.size() - 4, 4, ".csv") == 0)
+                trace_->writeCsv(os);
+            else
+                trace_->writeJson(os);
+            std::printf("wrote %s (%zu events kept, %llu dropped)\n",
+                        tracePath_.c_str(), trace_->size(),
+                        static_cast<unsigned long long>(trace_->dropped()));
+        }
+        const common::TimeSeriesLog *series =
+            metrics_ != nullptr ? &metrics_->log() : nullptr;
+        if (!perfettoPath_.empty()) {
+            std::ofstream os = openOutput(perfettoPath_);
+            trace_->writePerfetto(os, series);
+            std::printf("wrote %s (Perfetto trace-event JSON; open at "
+                        "ui.perfetto.dev)\n",
+                        perfettoPath_.c_str());
+        }
+        if (series != nullptr) {
+            // The CSV sits beside the JSON: PATH with a .json suffix
+            // swapped for .csv, else PATH + ".csv".
+            std::string csvPath = metricsPath_;
+            if (csvPath.size() >= 5 &&
+                csvPath.compare(csvPath.size() - 5, 5, ".json") == 0)
+                csvPath.resize(csvPath.size() - 5);
+            csvPath += ".csv";
+            std::ofstream js = openOutput(metricsPath_);
+            series->writeJson(js);
+            std::ofstream cs = openOutput(csvPath);
+            series->writeCsv(cs);
+            std::printf("wrote %s and %s (%zu series)\n",
+                        metricsPath_.c_str(), csvPath.c_str(),
+                        series->seriesCount());
+        }
+    }
+
+    /** With --monitor, print its report to @p os. False when it saw a
+     *  violation. */
+    bool
+    reportMonitor(std::ostream &os) const
+    {
+        if (monitor_ == nullptr)
+            return true;
+        monitor_->report(os);
+        return monitor_->ok();
+    }
+
+  private:
+    bool
+    traced() const
+    {
+        return !tracePath_.empty() || !perfettoPath_.empty() || monitorOn_;
+    }
+
+    std::string tracePath_;
+    std::string perfettoPath_;
+    std::string metricsPath_;
+    bool monitorOn_;
+    std::size_t traceCapacity_;
+    common::Duration metricsInterval_;
+    std::unique_ptr<common::TraceLog> trace_;
+    std::unique_ptr<common::MetricsRegistry> metrics_;
+    std::unique_ptr<common::InvariantMonitor> monitor_;
+};
 
 inline void
 printHeader(const char *title)
@@ -313,20 +471,15 @@ class Report
         os << "\n";
     }
 
-    /** Write the report to --json=PATH if given; exits on I/O error so
-     *  scripted pipelines fail loudly rather than read a stale file. */
+    /** Write the report to --json=PATH if given; exits on I/O error
+     *  (see openOutput). */
     void
     write(const Args &args) const
     {
         const std::string path = args.getString("json", "");
         if (path.empty())
             return;
-        std::ofstream os(path);
-        if (!os) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         path.c_str());
-            std::exit(1);
-        }
+        std::ofstream os = openOutput(path);
         writeTo(os);
         std::printf("\nwrote %s\n", path.c_str());
     }

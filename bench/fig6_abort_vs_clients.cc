@@ -35,16 +35,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "sweep_runner.hh"
-#include "common/invariant_monitor.hh"
-#include "common/trace.hh"
 #include "workload/cluster.hh"
 #include "workload/retwis.hh"
 
@@ -72,8 +68,7 @@ CellResult
 runCell(BackendKind backend, std::uint32_t clients, double alpha,
         std::uint64_t keys, common::Duration warmup,
         common::Duration measure, std::uint64_t seed,
-        common::TraceLog *trace = nullptr,
-        common::MetricsRegistry *metrics = nullptr)
+        bench::RunOutputs *outputs = nullptr)
 {
     ClusterConfig cfg;
     cfg.numShards = 1;
@@ -83,12 +78,12 @@ runCell(BackendKind backend, std::uint32_t clients, double alpha,
     cfg.clocks = ClockKind::Perfect; // eliminates clock skew
     cfg.numKeys = keys;
     cfg.seed = seed;
-    cfg.trace = trace;
-    cfg.metrics = metrics;
     // Same-machine "network": IPC-scale latency.
     cfg.net.oneWayMean = 5 * common::kMicrosecond;
     cfg.net.oneWaySigma = 1 * common::kMicrosecond;
     cfg.net.minLatency = 1 * common::kMicrosecond;
+    if (outputs != nullptr)
+        outputs->arm(cfg);
 
     Cluster cluster(cfg);
     const auto populate_start = std::chrono::steady_clock::now();
@@ -139,17 +134,10 @@ main(int argc, char **argv)
     const std::string only_alpha = args.getString("alpha", "");
     const std::string only_clients = args.getString("clients", "");
     const unsigned jobs = bench::jobsFromArgs(args);
-    const std::string trace_path = args.getString("trace", "");
-    const std::string perfetto_path = args.getString("perfetto", "");
-    const std::string metrics_path = args.getString("metrics", "");
-    const bool monitor_on = args.has("monitor");
+    bench::RunOutputs outputs(args);
     const double trace_alpha = args.getDouble("trace-alpha", 0.8);
     const auto trace_clients =
         static_cast<std::uint32_t>(args.getInt("trace-clients", 16));
-    const auto trace_capacity =
-        static_cast<std::size_t>(args.getInt("trace-capacity", 262'144));
-    const common::Duration metrics_interval =
-        args.getDuration("metrics-interval", 100 * common::kMillisecond);
     args.rejectUnknown();
 
     bench::Report report("fig6_abort_vs_clients");
@@ -231,75 +219,17 @@ main(int argc, char **argv)
         "grows with contention and client count.\n");
 
     bool monitor_failed = false;
-    if (!trace_path.empty() || !perfetto_path.empty() ||
-        !metrics_path.empty() || monitor_on) {
-        common::TraceLog log(trace_capacity);
-        common::InvariantMonitor monitor(
-            [] {
-                common::InvariantMonitor::Config mcfg;
-                // The traced cell is MFTL (multi-version), so the
-                // snapshot-read check is sound; single replica, so
-                // the replication check stays off.
-                mcfg.checkSnapshotReads = true;
-                mcfg.checkReplicationBeforeAck = false;
-                return mcfg;
-            }(),
-            &std::cerr);
-        if (monitor_on)
-            monitor.attach(log);
-        std::unique_ptr<common::MetricsRegistry> metrics;
-        if (!metrics_path.empty())
-            metrics =
-                std::make_unique<common::MetricsRegistry>(metrics_interval);
+    if (outputs.any()) {
         std::printf("\ntracing one MFTL cell (alpha=%.2f, %u clients)"
                     "...\n",
                     trace_alpha, trace_clients);
         const CellResult cell =
             runCell(BackendKind::Mftl, trace_clients, trace_alpha, keys,
-                    warmup, measure, seed,
-                    (trace_path.empty() && perfetto_path.empty() &&
-                     !monitor_on)
-                        ? nullptr
-                        : &log,
-                    metrics.get());
-        if (!trace_path.empty()) {
-            std::ofstream os(trace_path);
-            if (!os) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             trace_path.c_str());
-                return 1;
-            }
-            if (trace_path.size() >= 4 &&
-                trace_path.compare(trace_path.size() - 4, 4, ".csv") ==
-                    0)
-                log.writeCsv(os);
-            else
-                log.writeJson(os);
-            std::printf("wrote %s (%zu events kept, %llu dropped)\n",
-                        trace_path.c_str(), log.size(),
-                        static_cast<unsigned long long>(log.dropped()));
-        }
-        if (!perfetto_path.empty()) {
-            std::ofstream os(perfetto_path);
-            if (!os) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             perfetto_path.c_str());
-                return 1;
-            }
-            log.writePerfetto(os, metrics != nullptr ? &metrics->log()
-                                                     : nullptr);
-            std::printf("wrote %s (Perfetto trace-event JSON; open at "
-                        "ui.perfetto.dev)\n",
-                        perfetto_path.c_str());
-        }
-        if (metrics != nullptr)
-            bench::writeMetricsOutputs(metrics->log(), metrics_path);
-        if (monitor_on) {
-            monitor.report(std::cout);
-            monitor_failed = !monitor.ok();
-        }
+                    warmup, measure, seed, &outputs);
+        outputs.write();
+        monitor_failed = !outputs.reportMonitor(std::cout);
         report.params()
-            .set("trace_path", trace_path)
+            .set("trace_path", outputs.tracePath())
             .set("trace_alpha", trace_alpha)
             .set("trace_clients", trace_clients)
             .set("trace_abort_pct", cell.abortPct);

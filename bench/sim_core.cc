@@ -24,22 +24,21 @@
  *                         maps).
  *
  * Heap traffic is measured by interposing global operator new/delete in
- * this binary (counts + bytes), so "allocs/event" is exact, not
- * sampled. Wall-clock events/sec is the headline number tracked by
- * BENCH_sim_core.json and the CI regression gate (>20% drop fails).
+ * this binary (alloc_counter.cc: counts + bytes), so "allocs/event" is
+ * exact, not sampled. Wall-clock events/sec is the headline number
+ * tracked by BENCH_sim_core.json and the CI regression gate (>20% drop
+ * fails).
  *
  * Flags: --events=N per-scenario target (default 2,000,000), --full
  * (10x), --json=PATH (milana-bench-v1).
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "bench_util.hh"
 #include "common/metrics.hh"
 #include "common/stats.hh"
@@ -50,69 +49,10 @@
 #include "sim/sync.hh"
 #include "sim/task.hh"
 
-// ---------------------------------------------------------------------
-// Interposed allocation counter. Every global new/delete in this binary
-// funnels through here; the scenarios read deltas around the measured
-// window.
-// ---------------------------------------------------------------------
-
 namespace {
 
-std::atomic<std::uint64_t> g_allocCalls{0};
-std::atomic<std::uint64_t> g_allocBytes{0};
-std::atomic<std::uint64_t> g_freeCalls{0};
-
-void *
-countedAlloc(std::size_t size)
-{
-    g_allocCalls.fetch_add(1, std::memory_order_relaxed);
-    g_allocBytes.fetch_add(size, std::memory_order_relaxed);
-    void *p = std::malloc(size ? size : 1);
-    if (!p)
-        std::abort();
-    return p;
-}
-
-void
-countedFree(void *p) noexcept
-{
-    if (!p)
-        return;
-    g_freeCalls.fetch_add(1, std::memory_order_relaxed);
-    std::free(p);
-}
-
-} // namespace
-
-void *operator new(std::size_t size) { return countedAlloc(size); }
-void *operator new[](std::size_t size) { return countedAlloc(size); }
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(size);
-}
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(size);
-}
-void operator delete(void *p) noexcept { countedFree(p); }
-void operator delete[](void *p) noexcept { countedFree(p); }
-void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
-void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    countedFree(p);
-}
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    countedFree(p);
-}
-
-namespace {
-
+using bench::AllocSnapshot;
+using bench::wallSeconds;
 using common::Duration;
 using common::kMicrosecond;
 
@@ -124,27 +64,6 @@ struct ScenarioResult
     double allocsPerEvent = 0;
     double bytesPerEvent = 0;
 };
-
-struct AllocSnapshot
-{
-    std::uint64_t calls;
-    std::uint64_t bytes;
-
-    static AllocSnapshot
-    take()
-    {
-        return {g_allocCalls.load(std::memory_order_relaxed),
-                g_allocBytes.load(std::memory_order_relaxed)};
-    }
-};
-
-double
-wallSeconds(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-}
 
 /**
  * Self-rescheduling timer: the steady-state periodic-process shape.

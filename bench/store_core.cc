@@ -31,23 +31,21 @@
  *  - prune: full-table watermark sweeps (forEach + prune); 0 allocs.
  *
  * Heap traffic is measured by interposing global operator new/delete
- * (sim_core.cc discipline), so allocs/op is exact. BENCH_store_core.json
- * is the committed baseline; CI fails on any allocs/op rise or a >20%
- * throughput drop on get/put/prune.
+ * (alloc_counter.cc, shared with sim_core), so allocs/op is exact.
+ * BENCH_store_core.json is the committed baseline; CI fails on any
+ * allocs/op rise or a >20% throughput drop on get/put/prune.
  *
  * Flags: --ops=N measured ops per phase (default 1,000,000),
  * --full (adds the 6M-key tier and 4x ops), --json=PATH.
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "bench_util.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -55,91 +53,13 @@
 #include "flash/geometry.hh"
 #include "ftl/mapping_table.hh"
 
-// ---------------------------------------------------------------------
-// Interposed allocation counter (see sim_core.cc).
-// ---------------------------------------------------------------------
-
 namespace {
 
-std::atomic<std::uint64_t> g_allocCalls{0};
-std::atomic<std::uint64_t> g_allocBytes{0};
-std::atomic<std::uint64_t> g_freeCalls{0};
-
-void *
-countedAlloc(std::size_t size)
-{
-    g_allocCalls.fetch_add(1, std::memory_order_relaxed);
-    g_allocBytes.fetch_add(size, std::memory_order_relaxed);
-    void *p = std::malloc(size ? size : 1);
-    if (!p)
-        std::abort();
-    return p;
-}
-
-void
-countedFree(void *p) noexcept
-{
-    if (!p)
-        return;
-    g_freeCalls.fetch_add(1, std::memory_order_relaxed);
-    std::free(p);
-}
-
-} // namespace
-
-void *operator new(std::size_t size) { return countedAlloc(size); }
-void *operator new[](std::size_t size) { return countedAlloc(size); }
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(size);
-}
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(size);
-}
-void operator delete(void *p) noexcept { countedFree(p); }
-void operator delete[](void *p) noexcept { countedFree(p); }
-void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
-void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    countedFree(p);
-}
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    countedFree(p);
-}
-
-namespace {
-
+using bench::AllocSnapshot;
+using bench::wallSeconds;
 using common::Key;
 using common::Time;
 using common::Version;
-
-struct AllocSnapshot
-{
-    std::uint64_t calls;
-    std::uint64_t bytes;
-
-    static AllocSnapshot
-    take()
-    {
-        return {g_allocCalls.load(std::memory_order_relaxed),
-                g_allocBytes.load(std::memory_order_relaxed)};
-    }
-};
-
-double
-wallSeconds(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-}
 
 struct PhaseResult
 {

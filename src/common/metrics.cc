@@ -60,8 +60,7 @@ TimeSeriesLog::noteWindowEnd(Time end)
 }
 
 TimeSeriesLog::Series &
-TimeSeriesLog::series(std::string_view name, NodeId node,
-                      SeriesKind kind, bool deterministic)
+TimeSeriesLog::series(std::string_view name, NodeId node, SeriesKind kind)
 {
     const auto it = index_.find({std::string(name), node});
     if (it != index_.end())
@@ -70,7 +69,6 @@ TimeSeriesLog::series(std::string_view name, NodeId node,
     s->name = name;
     s->node = node;
     s->kind = kind;
-    s->deterministic = deterministic;
     s->capacity_ = windowCapacity_;
     s->ring_.reserve(windowCapacity_);
     Series *raw = s.get();
@@ -84,15 +82,6 @@ TimeSeriesLog::find(std::string_view name, NodeId node) const
 {
     const auto it = index_.find({std::string(name), node});
     return it == index_.end() ? nullptr : it->second;
-}
-
-void
-TimeSeriesLog::addPoint(std::string_view name, NodeId node,
-                        SeriesKind kind, const MetricPoint &point,
-                        bool deterministic)
-{
-    series(name, node, kind, deterministic).push(point);
-    noteWindowEnd(point.windowEnd);
 }
 
 std::vector<const TimeSeriesLog::Series *>
@@ -146,8 +135,7 @@ TimeSeriesLog::writeSeriesJson(JsonWriter &w, const Series &s) const
 }
 
 void
-TimeSeriesLog::writeJson(std::ostream &os,
-                         bool includeNonDeterministic) const
+TimeSeriesLog::writeJson(std::ostream &os) const
 {
     JsonWriter w(os);
     w.beginObject();
@@ -156,21 +144,10 @@ TimeSeriesLog::writeJson(std::ostream &os,
     w.key("window_capacity")
         .value(static_cast<std::uint64_t>(windowCapacity_));
     w.key("last_window_end_ns").value(lastWindowEnd_);
-    const auto all = sorted();
     w.key("series").beginArray();
-    for (const Series *s : all)
-        if (s->deterministic)
-            writeSeriesJson(w, *s);
+    for (const Series *s : sorted())
+        writeSeriesJson(w, *s);
     w.endArray();
-    if (includeNonDeterministic) {
-        w.key("nondeterministic").beginObject();
-        w.key("series").beginArray();
-        for (const Series *s : all)
-            if (!s->deterministic)
-                writeSeriesJson(w, *s);
-        w.endArray();
-        w.endObject();
-    }
     w.endObject();
     os << "\n";
 }
@@ -182,8 +159,6 @@ TimeSeriesLog::writeCsv(std::ostream &os) const
           "count,p50,p99,p999\n";
     char buf[32];
     for (const Series *s : sorted()) {
-        if (!s->deterministic)
-            continue;
         for (const MetricPoint &p : s->points()) {
             os << s->name << ',' << s->node << ','
                << seriesKindName(s->kind) << ',' << p.windowStart

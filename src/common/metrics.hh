@@ -17,9 +17,6 @@
  * seen, sampling allocates nothing. The registry is sampled from its
  * scenario's simulator only, so the exported document is a pure
  * function of the seed and byte-identical for any --jobs value.
- * Series flagged non-deterministic (wall-clock measurements) are
- * exported in a separate JSON section so deterministic byte-compares
- * still pass.
  *
  * Export schema: `milana-metrics-v1` (see OBSERVABILITY.md).
  */
@@ -82,8 +79,6 @@ class TimeSeriesLog
         std::string name;
         NodeId node = 0;
         SeriesKind kind = SeriesKind::Counter;
-        /** False for wall-clock-derived values (profiler stalls). */
-        bool deterministic = true;
 
         void push(const MetricPoint &point);
         std::uint64_t dropped() const
@@ -117,30 +112,19 @@ class TimeSeriesLog
      * Find-or-create a series. Creation reserves the full ring
      * capacity up front, so subsequent push() calls never allocate.
      */
-    Series &series(std::string_view name, NodeId node, SeriesKind kind,
-                   bool deterministic = true);
+    Series &series(std::string_view name, NodeId node, SeriesKind kind);
     const Series *find(std::string_view name, NodeId node) const;
-
-    /** Convenience: find-or-create, then append one point. */
-    void addPoint(std::string_view name, NodeId node, SeriesKind kind,
-                  const MetricPoint &point, bool deterministic = true);
 
     /** All series sorted by (name, node). */
     std::vector<const Series *> sorted() const;
 
     std::size_t seriesCount() const { return series_.size(); }
 
-    /**
-     * Write the `milana-metrics-v1` JSON document. Non-deterministic
-     * series go into a separate "nondeterministic" section (omitted
-     * entirely when @p includeNonDeterministic is false, which is the
-     * byte-comparable form).
-     */
-    void writeJson(std::ostream &os,
-                   bool includeNonDeterministic = true) const;
+    /** Write the `milana-metrics-v1` JSON document. */
+    void writeJson(std::ostream &os) const;
 
     /**
-     * CSV export of the deterministic series only:
+     * CSV export of every series:
      * `series,node,kind,window_start_ns,window_end_ns,value,count,
      * p50,p99,p999` (value empty for hist rows, quantiles empty for
      * counter/gauge rows). Byte-identical per seed.

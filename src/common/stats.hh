@@ -11,7 +11,6 @@
 #define COMMON_STATS_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 
@@ -85,16 +84,6 @@ class StatSet
      * `layer.component.metric` names of OBSERVABILITY.md.
      */
     void toJson(JsonWriter &w, const std::string &prefix = "") const;
-
-    /** Standalone JSON document (wraps toJson). */
-    void writeJson(std::ostream &os, const std::string &prefix = "") const;
-
-    /**
-     * CSV export: `metric,value` per counter and
-     * `metric.{count,min,max,mean,p50,p90,p95,p99,p999},value` per
-     * histogram field.
-     */
-    void writeCsv(std::ostream &os, const std::string &prefix = "") const;
 
   private:
     std::map<std::string, Counter> counters_;

@@ -173,8 +173,7 @@ TraceLog::writePerfetto(std::ostream &os,
         seenNode.emplace(e.node, true);
     if (metrics != nullptr)
         for (const TimeSeriesLog::Series *s : metrics->sorted())
-            if (s->deterministic)
-                seenNode.emplace(s->node, true);
+            seenNode.emplace(s->node, true);
     for (const auto &[node, unused] : seenNode) {
         os << "\n";
         char label[64];
@@ -235,8 +234,6 @@ TraceLog::writePerfetto(std::ostream &os,
     // window's p99 — timelines render alongside the span tracks.
     if (metrics != nullptr) {
         for (const TimeSeriesLog::Series *s : metrics->sorted()) {
-            if (!s->deterministic)
-                continue;
             for (const MetricPoint &p : s->points()) {
                 double value = 0.0;
                 std::string name = s->name;
@@ -285,13 +282,9 @@ parseTraceJson(std::string_view text, ParsedTrace &out, std::string &error)
         return false;
     }
     const std::string &schema = doc.at("schema").asString();
-    if (schema == "milana-trace-v1") {
-        out.schemaVersion = 1;
-    } else if (schema == "milana-trace-v2") {
-        out.schemaVersion = 2;
-    } else {
+    if (schema != "milana-trace-v2") {
         error = "unsupported trace schema \"" + schema +
-                "\" (expected milana-trace-v1 or -v2)";
+                "\" (expected milana-trace-v2)";
         return false;
     }
     out.capacity = static_cast<std::uint64_t>(doc.at("capacity").asInt());
@@ -324,8 +317,8 @@ parseTraceJson(std::string_view text, ParsedTrace &out, std::string &error)
             return false;
         }
         e.span = static_cast<std::uint64_t>(j.at("span").asInt());
-        // v2 additions; JsonValue::at returns Null (asInt == 0) for
-        // absent members, which is exactly the v1 default.
+        // The writer omits zero-valued optional members; JsonValue::at
+        // returns Null (asInt == 0) for them.
         e.traceId = static_cast<std::uint64_t>(j.at("trace").asInt());
         e.parentSpan = static_cast<std::uint64_t>(j.at("parent").asInt());
         e.name = j.at("name").asString();

@@ -413,13 +413,6 @@ sleepFor(Simulator &sim, Duration d)
     return Awaiter{sim, d};
 }
 
-/** Awaitable that reschedules the coroutine as a fresh event "now". */
-inline auto
-yieldNow(Simulator &sim)
-{
-    return sleepFor(sim, 0);
-}
-
 } // namespace sim
 
 #endif // SIM_FUTURE_HH

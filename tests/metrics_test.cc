@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "common/metrics.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -143,7 +144,7 @@ TEST(MetricsRegistry, HistogramWindowQuantilesAreWindowLocal)
 /** A small fig6-style cell with the metrics plane on. */
 struct CellRun
 {
-    std::string json; ///< deterministic-only JSON export
+    std::string json;
     std::string csv;
     std::uint64_t committed = 0;
     std::uint64_t aborted = 0;
@@ -181,7 +182,7 @@ runCell(common::Duration measure)
 
     CellRun run;
     std::ostringstream js, cs;
-    metrics.log().writeJson(js, /*includeNonDeterministic=*/false);
+    metrics.log().writeJson(js);
     metrics.log().writeCsv(cs);
     run.json = js.str();
     run.csv = cs.str();
@@ -235,6 +236,17 @@ TEST(MetricsPlane, DeterministicExportsIdenticalAcrossRepeats)
     const CellRun one = runCell(kSecond / 2);
     ASSERT_GT(one.committed, 100u); // guard: the workload really ran
     EXPECT_NE(one.json.find("client.txn.committed"), std::string::npos);
+    // One section of series: the document has exactly these members.
+    std::string error;
+    const common::JsonValue doc = common::JsonValue::parse(one.json, &error);
+    ASSERT_TRUE(doc.isObject()) << error;
+    std::vector<std::string> members;
+    for (const auto &[name, value] : doc.members())
+        members.push_back(name);
+    EXPECT_EQ(members,
+              (std::vector<std::string>{"interval_ns", "last_window_end_ns",
+                                        "schema", "series",
+                                        "window_capacity"}));
 
     const CellRun two = runCell(kSecond / 2);
     EXPECT_EQ(one.json, two.json);

@@ -2,7 +2,8 @@
  * @file
  * SweepRunner contract tests: every cell runs exactly once regardless
  * of the job count, exceptions propagate, bench::Args rejects flags no
- * harness asked for, and — the property the whole
+ * harness asked for and values that do not parse, bench::RunOutputs
+ * arms only the outputs its flags name, and — the property the whole
  * parallel-sweep design rests on — a fig6-style grid of Cluster
  * simulations produces a byte-identical milana-bench-v1 report whether
  * it runs on 1 worker or 8.
@@ -113,6 +114,65 @@ TEST(BenchArgsDeathTest, UnknownFlagExitsWithStatus2)
     EXPECT_EXIT(run({"--seconds=1", "--jobz=8"}),
                 ::testing::ExitedWithCode(2),
                 "unknown flag --jobz");
+}
+
+TEST(BenchArgsDeathTest, MalformedNumberExitsWithStatus2)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(makeArgs({"--seconds=abc"}).getInt("seconds", 4),
+                ::testing::ExitedWithCode(2),
+                "error: bad value for --seconds: abc");
+    EXPECT_EXIT(makeArgs({"--alpha=0.8x"}).getDouble("alpha", 0.6),
+                ::testing::ExitedWithCode(2),
+                "error: bad value for --alpha: 0.8x");
+    EXPECT_EXIT(makeArgs({"--metrics-interval=5min"})
+                    .getDuration("metrics-interval", kSecond),
+                ::testing::ExitedWithCode(2),
+                "error: bad value for --metrics-interval: 5min");
+}
+
+TEST(RunOutputs, ArmsOnlyWhatTheFlagsAskFor)
+{
+    {
+        bench::RunOutputs outputs(makeArgs({}));
+        ClusterConfig cfg;
+        outputs.arm(cfg);
+        EXPECT_FALSE(outputs.any());
+        EXPECT_EQ(cfg.trace, nullptr);
+        EXPECT_EQ(cfg.metrics, nullptr);
+    }
+    {
+        bench::RunOutputs outputs(makeArgs({"--metrics=m.json"}));
+        ClusterConfig cfg;
+        outputs.arm(cfg);
+        EXPECT_TRUE(outputs.any());
+        EXPECT_EQ(cfg.trace, nullptr);
+        EXPECT_NE(cfg.metrics, nullptr);
+    }
+    {
+        bench::RunOutputs outputs(makeArgs({"--monitor"}));
+        ClusterConfig cfg;
+        outputs.arm(cfg);
+        EXPECT_NE(cfg.trace, nullptr); // the monitor reads the trace
+        EXPECT_EQ(cfg.metrics, nullptr);
+    }
+}
+
+TEST(RunOutputs, MonitorChecksFollowTheClusterConfig)
+{
+    ClusterConfig mftl;
+    mftl.backend = BackendKind::Mftl;
+    mftl.replicasPerShard = 1;
+    const auto single = bench::RunOutputs::monitorConfig(mftl);
+    EXPECT_TRUE(single.checkSnapshotReads);
+    EXPECT_FALSE(single.checkReplicationBeforeAck);
+
+    ClusterConfig sftl;
+    sftl.backend = BackendKind::SingleVersion;
+    sftl.replicasPerShard = 3;
+    const auto replicated = bench::RunOutputs::monitorConfig(sftl);
+    EXPECT_FALSE(replicated.checkSnapshotReads);
+    EXPECT_TRUE(replicated.checkReplicationBeforeAck);
 }
 
 /** One fig6-style cell: a private Cluster + Retwis fleet. */

@@ -11,6 +11,7 @@
 
 #include <optional>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 
 #include "common/invariant_monitor.hh"
@@ -221,29 +222,23 @@ TEST(TraceContext, SurvivesNetworkRoundTrip)
     EXPECT_EQ(events[0].span, handlerSaw->spanId);
 }
 
-TEST(TraceParse, V1DocumentsStillParse)
+TEST(TraceParse, RetiredV1SchemaIsRejected)
 {
-    const char *v1 =
-        "{\"schema\": \"milana-trace-v1\", \"capacity\": 8, "
-        "\"recorded\": 2, \"dropped\": 0, \"events\": [\n"
+    // The first trace schema predates the causal trace/parent fields;
+    // nothing writes it any more, and the parser accepts only v2.
+    const std::string schema = "milana-trace-v" + std::to_string(1);
+    const std::string v1 =
+        "{\"schema\": \"" + schema + "\", \"capacity\": 8, "
+        "\"recorded\": 1, \"dropped\": 0, \"events\": [\n"
         " {\"seq\": 0, \"t\": 100, \"lt\": 101, \"node\": 3, "
-        "\"kind\": \"B\", \"span\": 5, \"name\": \"x\", \"tag\": \"\", "
-        "\"arg\": 0},\n"
-        " {\"seq\": 1, \"t\": 200, \"lt\": 201, \"node\": 3, "
-        "\"kind\": \"E\", \"span\": 5, \"name\": \"x\", \"tag\": \"ok\", "
-        "\"arg\": 7}\n"
+        "\"kind\": \"I\", \"span\": 0, \"name\": \"x\", \"tag\": \"\", "
+        "\"arg\": 0}\n"
         "]}";
     common::ParsedTrace trace;
     std::string error;
-    ASSERT_TRUE(common::parseTraceJson(v1, trace, error)) << error;
-    EXPECT_EQ(trace.schemaVersion, 1);
-    ASSERT_EQ(trace.events.size(), 2u);
-    EXPECT_EQ(trace.events[0].kind, TraceKind::SpanBegin);
-    // v2 causal fields default to "no context".
-    EXPECT_EQ(trace.events[0].traceId, 0u);
-    EXPECT_EQ(trace.events[0].parentSpan, 0u);
-    EXPECT_EQ(trace.events[1].arg2, 0);
-    EXPECT_EQ(trace.events[1].tag, "ok");
+    EXPECT_FALSE(common::parseTraceJson(v1, trace, error));
+    EXPECT_NE(error.find("\"" + schema + "\""), std::string::npos)
+        << error;
 }
 
 // ---------------------------------------------------------------------
@@ -445,7 +440,6 @@ TEST(ClusterTrace, CommittedTxnFormsOneParentChain)
     common::ParsedTrace trace;
     std::string error;
     ASSERT_TRUE(common::parseTraceJson(json, trace, error)) << error;
-    EXPECT_EQ(trace.schemaVersion, 2);
 
     // Pick a committed transaction.
     std::uint64_t txn = 0, commitSpan = 0;

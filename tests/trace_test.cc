@@ -246,7 +246,8 @@ TEST(StatSet, JsonExportRoundTrips)
         stats.histogram("txn.latency").record(i * 1000);
 
     std::ostringstream os;
-    stats.writeJson(os, "client.");
+    common::JsonWriter w(os);
+    stats.toJson(w, "client.");
     std::string error;
     const JsonValue doc = JsonValue::parse(os.str(), &error);
     ASSERT_TRUE(doc.isObject()) << error;
@@ -283,7 +284,8 @@ TEST(StatSet, MergedSetsExportCombinedValues)
     a.merge(b);
 
     std::ostringstream os;
-    a.writeJson(os);
+    common::JsonWriter w(os);
+    a.toJson(w);
     std::string error;
     const JsonValue doc = JsonValue::parse(os.str(), &error);
     ASSERT_TRUE(doc.isObject()) << error;
@@ -294,19 +296,6 @@ TEST(StatSet, MergedSetsExportCombinedValues)
     EXPECT_EQ(lat.at("min").asInt(), 100);
     EXPECT_EQ(lat.at("max").asInt(), 300);
     EXPECT_NEAR(lat.at("mean").asDouble(), 200.0, 10.0);
-}
-
-TEST(StatSet, CsvExportListsEveryMetric)
-{
-    StatSet stats;
-    stats.counter("c").inc(9);
-    stats.histogram("h").record(500);
-    std::ostringstream os;
-    stats.writeCsv(os, "server.");
-    const std::string csv = os.str();
-    EXPECT_NE(csv.find("server.c,9"), std::string::npos);
-    EXPECT_NE(csv.find("server.h.count,1"), std::string::npos);
-    EXPECT_NE(csv.find("server.h.p99,"), std::string::npos);
 }
 
 } // namespace

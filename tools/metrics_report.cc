@@ -43,13 +43,12 @@ struct Series
     std::string name;
     std::uint32_t node = 0;
     std::string kind; ///< "counter" | "gauge" | "hist"
-    bool deterministic = true;
     std::vector<Point> points;
 };
 
 bool
-loadSeries(const common::JsonValue &arr, bool deterministic,
-           std::vector<Series> &out, std::string &error)
+loadSeries(const common::JsonValue &arr, std::vector<Series> &out,
+           std::string &error)
 {
     if (!arr.isArray()) {
         error = "\"series\" is not an array";
@@ -61,7 +60,6 @@ loadSeries(const common::JsonValue &arr, bool deterministic,
         series.name = s.at("name").asString();
         series.node = static_cast<std::uint32_t>(s.at("node").asInt());
         series.kind = s.at("kind").asString();
-        series.deterministic = deterministic;
         const common::JsonValue &pts = s.at("points");
         if (series.name.empty() || !pts.isArray()) {
             error = "malformed series entry #" + std::to_string(i);
@@ -160,14 +158,7 @@ main(int argc, char **argv)
     }
 
     std::vector<Series> series;
-    if (!loadSeries(doc.at("series"), true, series, error)) {
-        std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
-                     error.c_str());
-        return 1;
-    }
-    if (doc.has("nondeterministic") &&
-        !loadSeries(doc.at("nondeterministic").at("series"), false,
-                    series, error)) {
+    if (!loadSeries(doc.at("series"), series, error)) {
         std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
                      error.c_str());
         return 1;

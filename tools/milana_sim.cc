@@ -19,15 +19,12 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "../bench/bench_util.hh"
 #include "common/chaos.hh"
-#include "common/invariant_monitor.hh"
-#include "common/trace.hh"
 #include "workload/cluster.hh"
 #include "workload/retwis.hh"
 
@@ -139,14 +136,7 @@ main(int argc, char **argv)
     const auto crash_at = args.getInt("crash-at", -1);
     const std::string chaos_path = args.getString("chaos", "");
     const std::int64_t chaos_seed = args.getInt("chaos-seed", 42);
-    const std::string trace_path = args.getString("trace", "");
-    const std::string perfetto_path = args.getString("perfetto", "");
-    const bool monitor_on = args.has("monitor");
-    const auto trace_capacity =
-        static_cast<std::size_t>(args.getInt("trace-capacity", 262'144));
-    const std::string metrics_path = args.getString("metrics", "");
-    const common::Duration metrics_interval =
-        args.getDuration("metrics-interval", 100 * common::kMillisecond);
+    bench::RunOutputs outputs(args);
     const bool dump_stats = args.has("dump-stats");
     args.rejectUnknown();
 
@@ -163,29 +153,7 @@ main(int argc, char **argv)
         cfg.chaos = chaos.get();
     }
 
-    std::unique_ptr<common::TraceLog> trace;
-    if (!trace_path.empty() || !perfetto_path.empty() || monitor_on) {
-        trace = std::make_unique<common::TraceLog>(trace_capacity);
-        cfg.trace = trace.get();
-    }
-    std::unique_ptr<common::MetricsRegistry> metrics;
-    if (!metrics_path.empty()) {
-        metrics = std::make_unique<common::MetricsRegistry>(
-            metrics_interval);
-        cfg.metrics = metrics.get();
-    }
-    std::unique_ptr<common::InvariantMonitor> monitor;
-    if (monitor_on) {
-        common::InvariantMonitor::Config mcfg;
-        // Single-version FTLs legitimately return versions newer than
-        // the snapshot and rely on validation to abort.
-        mcfg.checkSnapshotReads =
-            cfg.backend != BackendKind::SingleVersion;
-        mcfg.checkReplicationBeforeAck = cfg.replicasPerShard > 1;
-        monitor = std::make_unique<common::InvariantMonitor>(mcfg,
-                                                             &std::cerr);
-        monitor->attach(*trace);
-    }
+    outputs.arm(cfg);
 
     std::printf("milana_sim: %u shard(s) x %u replica(s), %u clients, "
                 "%s backend, %s clocks, alpha=%.2f%s%s\n",
@@ -277,37 +245,7 @@ main(int argc, char **argv)
                     cluster.network().stats().dump("  ").c_str());
     }
 
-    if (!trace_path.empty()) {
-        std::ofstream os(trace_path);
-        if (!os) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         trace_path.c_str());
-            return 1;
-        }
-        if (trace_path.size() >= 4 &&
-            trace_path.compare(trace_path.size() - 4, 4, ".csv") == 0)
-            trace->writeCsv(os);
-        else
-            trace->writeJson(os);
-        std::printf("wrote %s (%zu events kept, %llu dropped)\n",
-                    trace_path.c_str(), trace->size(),
-                    static_cast<unsigned long long>(trace->dropped()));
-    }
-    if (!perfetto_path.empty()) {
-        std::ofstream os(perfetto_path);
-        if (!os) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         perfetto_path.c_str());
-            return 1;
-        }
-        trace->writePerfetto(os, metrics != nullptr ? &metrics->log()
-                                                    : nullptr);
-        std::printf("wrote %s (Perfetto trace-event JSON; open at "
-                    "ui.perfetto.dev)\n",
-                    perfetto_path.c_str());
-    }
-    if (metrics != nullptr)
-        bench::writeMetricsOutputs(metrics->log(), metrics_path);
+    outputs.write();
 
     bench::Report report("milana_sim");
     report.params()
@@ -350,10 +288,5 @@ main(int argc, char **argv)
     report.addStats("clocksync", cluster.clockStats());
     report.write(args);
 
-    if (monitor != nullptr) {
-        monitor->report(std::cout);
-        if (!monitor->ok())
-            return 1;
-    }
-    return 0;
+    return outputs.reportMonitor(std::cout) ? 0 : 1;
 }
