@@ -130,9 +130,11 @@ main(int argc, char **argv)
     // --alpha=F / --clients=N restrict the sweep to matching cells —
     // the single-cell path for paper-scale runs (e.g. --keys=2000000
     // --alpha=0.8 --clients=16). Absent, the full grid runs and the
-    // --json report is unchanged.
-    const std::string only_alpha = args.getString("alpha", "");
-    const std::string only_clients = args.getString("clients", "");
+    // --json report is unchanged. A present value must parse.
+    const bool by_alpha = !args.getString("alpha", "").empty();
+    const double only_alpha = args.getDouble("alpha", 0);
+    const bool by_clients = !args.getString("clients", "").empty();
+    const std::int64_t only_clients = args.getInt("clients", 0);
     const unsigned jobs = bench::jobsFromArgs(args);
     bench::RunOutputs outputs(args);
     const double trace_alpha = args.getDouble("trace-alpha", 0.8);
@@ -164,13 +166,10 @@ main(int argc, char **argv)
     };
     std::vector<Cell> cells;
     for (double alpha : {0.6, 0.8, 0.99}) {
-        if (!only_alpha.empty() &&
-            std::abs(alpha - std::atof(only_alpha.c_str())) > 1e-9)
+        if (by_alpha && std::abs(alpha - only_alpha) > 1e-9)
             continue;
         for (std::uint32_t clients : {4u, 8u, 16u, 32u}) {
-            if (!only_clients.empty() &&
-                clients != static_cast<std::uint32_t>(
-                               std::atoll(only_clients.c_str())))
+            if (by_clients && clients != only_clients)
                 continue;
             cells.push_back({alpha, clients, BackendKind::SingleVersion});
             cells.push_back({alpha, clients, BackendKind::Mftl});

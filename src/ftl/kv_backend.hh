@@ -102,6 +102,10 @@ class KvBackend
         return std::nullopt;
     }
 
+    /** Start background processes (e.g. watermark pruning); backends
+     *  without any keep this no-op. */
+    virtual void start() {}
+
     /** True if the backend stores multiple versions per key. */
     virtual bool multiVersion() const = 0;
 

@@ -1,157 +1,142 @@
 /**
  * @file
  * MFTL: the paper's unified multi-version flash translation layer
- * (section 3.1, Contribution 3).
+ * (section 3.1, Contribution 3) — the multi-version log (mv_log.hh)
+ * running directly on flash erase blocks.
  *
- * A single in-DRAM mapping table maps each key directly to the
- * physical locations of its versions (no LBA indirection): key ->
- * list of <create-timestamp, physical page, slot>, sorted by
- * descending timestamp. New tuples are written log-structured through
- * a pack buffer (pack_log.hh); version management is integrated with
- * flash garbage collection:
- *
- *  - validity: a flash tuple is live iff the mapping table still
- *    references its exact <key, version, location>;
- *  - watermark GC (section 3.1): once every client's clock has passed
- *    the watermark, only the youngest version with stamp <= watermark
- *    plus all younger versions are kept; older tuples become dead in
- *    place and are never remapped;
- *  - flash GC: when free blocks fall below the reserve (10% of
- *    capacity), the block with the fewest live tuples is victimized
- *    (ties broken toward least-worn, providing wear-leveling); its
- *    live tuples are re-packed through the same pack buffer as user
- *    writes — "puts or remapped keys" share pages, as in the paper —
- *    and the block is erased once they are durable.
+ * One in-DRAM mapping table maps each key straight to the physical
+ * pages of its versions (no LBA indirection), and version management
+ * is fused with flash garbage collection: when free blocks fall below
+ * the reserve (10% of capacity), the blocks with the fewest live
+ * tuples are victimized (ties broken toward least-worn, providing
+ * wear-leveling), their live tuples re-packed with user writes, and
+ * each block erased once they are durable.
  */
 
 #ifndef FTL_MFTL_HH
 #define FTL_MFTL_HH
 
 #include <cstdint>
-#include <deque>
-#include <vector>
 
+#include "common/logging.hh"
 #include "flash/ssd.hh"
-#include "ftl/kv_backend.hh"
-#include "ftl/mapping_table.hh"
-#include "ftl/pack_log.hh"
-#include "sim/future.hh"
-#include "sim/task.hh"
+#include "ftl/free_pool.hh"
+#include "ftl/mv_log.hh"
 
 namespace ftl {
 
-class Mftl : public KvBackend
+/**
+ * MFTL's medium. A unit is an erase block, filled page by page through
+ * one cursor that opens the least-worn free block; GC takes at most 32
+ * victims a pass, stops once it nets 12 blocks, reads a pinned victim's
+ * programmed pages zero-copy and erases it.
+ */
+class EraseBlocks
 {
   public:
-    struct Config
+    using Addr = flash::PageAddr;
+    using Unit = FreePool::Unit;
+    /** A page read zero-copy; valid while its block is pinned. */
+    using Page = const flash::PageData *;
+
+    static constexpr const char *kName = "mftl";
+    static constexpr const char *kWritten = "pages_written";
+    static constexpr const char *kGcReads = "gc_page_reads";
+    static constexpr const char *kReclaimed = "gc_erases";
+    static constexpr const char *kAdmitPanic =
+        "mftl: device full — writes cannot be admitted";
+
+    explicit EraseBlocks(flash::SsdDevice &device) : device_(device) {}
+
+    std::uint32_t units() const { return device_.geometry().numBlocks; }
+    std::uint32_t pageBytes() const { return device_.geometry().pageSize; }
+    PassLimits
+    passLimits(std::uint32_t recordSize) const
     {
-        /** Max time a tuple waits in the pack buffer (paper: 1 ms). */
-        common::Duration packTimeout = common::kMillisecond;
-        /** Fraction of blocks reserved for GC headroom (paper: 10%). */
-        double reserveFraction = 0.10;
+        const auto &geo = device_.geometry();
+        return {32, 12,
+                std::uint64_t{geo.pagesPerBlock} * (geo.pageSize / recordSize),
+                true};
+    }
+    static Unit unitOf(Addr addr) { return addr.block; }
+
+    sim::Task<Addr>
+    allocate(FreePool &pool, bool relocation)
+    {
+        return pool.nextPage(cursor_, device_, relocation ? 1 : 3,
+                             "mftl: device full — GC cannot free space "
+                             "(live data exceeds usable capacity)");
+    }
+    sim::Task<void>
+    write(Addr addr, flash::PageData page)
+    {
+        return device_.programPage(addr, std::move(page));
+    }
+    sim::Task<Page> read(Addr addr) { return device_.readPage(addr); }
+    void pin(Unit block) { device_.pinBlock(block); }
+    void unpin(Unit block) { device_.unpinBlock(block); }
+    static const flash::PageData &mapped(Page page) { return *page; }
+    static const flash::PageData &scanned(Page page) { return *page; }
+
+    /** Calls @p fn(addr, contents) for every programmed page;
+     *  contents is a timing-free peek, read only by recovery. */
+    template <typename Fn>
+    void
+    forEachPage(Unit block, Fn &&fn) const
+    {
+        for (std::uint32_t pg = 0; pg < device_.geometry().pagesPerBlock;
+             ++pg) {
+            const Addr addr{block, pg};
+            if (device_.pageState(addr) == flash::PageState::Programmed)
+                fn(addr, &device_.peekPage(addr));
+        }
+    }
+
+    /** The block the cursor is filling is not collectable. */
+    bool collectable(Unit block) const
+    {
+        return static_cast<std::int64_t>(block) != cursor_.block;
+    }
+    std::uint32_t wear(Unit block) const { return device_.eraseCount(block); }
+    sim::Task<void> reclaim(Unit block) { return device_.eraseBlock(block); }
+    static void
+    stillLive(Unit block, std::uint32_t live)
+    {
+        PANIC("mftl: victim block " << block << " still has " << live
+                                    << " live tuples after remap");
+    }
+    void reset() { cursor_ = Cursor{}; }
+
+  private:
+    flash::SsdDevice &device_;
+    Cursor cursor_;
+};
+
+extern template class MvLog<EraseBlocks>;
+
+class Mftl : public MvLog<EraseBlocks>
+{
+  public:
+    struct Config : LogConfig
+    {
         /** Free-block fraction the integrated collector maintains:
          *  version management is fused with flash GC, so dead versions
          *  are reclaimed eagerly as the watermark advances. */
-        double gcTargetFraction = 0.25;
-        /** Accounted on-flash tuple size (paper: 512 B). */
-        std::uint32_t recordSize = 512;
-        /** Interval of the background watermark pruning sweep. */
-        common::Duration watermarkSweepInterval =
-            50 * common::kMillisecond;
-        /** Pre-size the mapping table for this many keys (0 = grow). */
-        std::uint64_t expectedKeys = 0;
+        Config() { gcTargetFraction = 0.25; }
     };
 
     Mftl(sim::Simulator &sim, flash::SsdDevice &device,
-         const Config &config);
-
-    // KvBackend interface.
-    sim::Task<GetResult> get(Key key, Version at) override;
-    sim::Task<PutStatus> put(Key key, Value value, Version version) override;
-    sim::Task<void> erase(Key key) override;
-    void setWatermark(Time watermark) override;
-    std::optional<Version> versionAt(Key key, Version at) override;
-    bool multiVersion() const override { return true; }
-    common::StatSet &stats() override { return stats_; }
-    void reserveKeys(std::uint64_t keys) override { map_.reserveKeys(keys); }
-    std::uint64_t dataPlaneBytes() const override
+         const Config &config)
+        : MvLog(sim, EraseBlocks(device), config)
     {
-        return map_.memoryBytes();
     }
 
-    /** Start background processes (GC trigger loop, watermark sweep). */
-    void start();
-
-    /** Number of live versions of a key (tests/introspection). */
-    std::size_t versionCount(Key key) const;
-
     /** Number of free (erased, unallocated) blocks. */
-    std::size_t freeBlocks() const { return freeBlocks_.size(); }
+    std::size_t freeBlocks() const { return freeUnits(); }
 
-    /**
-     * Rebuild the mapping table by scanning all programmed pages, as a
-     * restarted storage server would. Returns the number of tuples
-     * recovered. (Timing-free: models an offline scan.)
-     */
-    std::size_t rebuildFromFlash();
-
-  private:
-    /** Physical locator of one tuple. */
-    struct Loc
-    {
-        flash::PageAddr page;
-        std::uint16_t slot;
-    };
-
-    using Store = VersionStore<Loc>;
-    using ChainRef = Store::ChainRef;
-
-    void flushBatch(std::vector<Pending> batch);
-    sim::Task<void> flushTask(std::vector<Pending> batch);
-
-    /** Block user writes while free space is critically low. */
-    sim::Task<void> admitUserWrite();
-
-    /** Allocate the next log page; may wait for GC to free space. */
-    sim::Task<flash::PageAddr> allocatePage(bool has_relocation);
-
-    /** True when the free pool is below the GC trigger level. */
-    bool needGc() const;
-    void kickGc();
-    sim::Task<void> gcLoop();
-    sim::Task<void> gcOnce();
-    sim::Task<void> watermarkSweep();
-
-    std::int32_t pickVictim() const;
-    void pruneChain(ChainRef chain);
-    void dropEntry(const Store::Entry &entry);
-
-    sim::Simulator &sim_;
-    flash::SsdDevice &device_;
-    Config config_;
-
-    Store map_;
-    /** Live tuples per block (validity counters for GC). */
-    std::vector<std::uint32_t> liveTuples_;
-    /** Programs issued but whose mapping update is still pending. */
-    std::vector<std::uint32_t> pendingPrograms_;
-    /** Blocks in the current GC pass's victim set. */
-    std::vector<bool> victimized_;
-
-    std::deque<std::uint32_t> freeBlocks_;
-    std::int64_t openBlock_ = -1;
-    std::uint32_t nextPage_ = 0;
-
-    PackLog packLog_;
-    Time watermark_ = 0;
-
-    bool gcRunning_ = false;
-    std::uint32_t gcLowWater_ = 0;
-    std::uint32_t gcHighWater_ = 0;
-    /** Resolved (and replaced) each time GC frees a block. */
-    sim::Promise<bool> spaceFreed_;
-
-    common::StatSet stats_;
+    /** Rebuild the mapping table by scanning all programmed pages
+     *  (timing-free: models a restarted server's offline scan). */
+    std::size_t rebuildFromFlash() { return rebuild(); }
 };
 
 } // namespace ftl

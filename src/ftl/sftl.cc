@@ -1,17 +1,11 @@
 #include "ftl/sftl.hh"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/logging.hh"
 
 namespace ftl {
 
-using common::kSecond;
-
 namespace {
 
-constexpr common::Duration kAllocTimeout = 30 * kSecond;
 constexpr std::size_t kStripes = 64;
 
 } // namespace
@@ -20,8 +14,8 @@ Sftl::Sftl(sim::Simulator &sim, flash::SsdDevice &device,
            const Config &config)
     : sim_(sim),
       device_(device),
-      config_(config),
-      spaceFreed_(sim)
+      pool_(sim, device.geometry().numBlocks, 0.05,
+            config.gcTargetFraction, [this] { return collectOnce(); })
 {
     const auto &geo = device.geometry();
     logicalBlocks_ = static_cast<std::uint64_t>(
@@ -29,20 +23,6 @@ Sftl::Sftl(sim::Simulator &sim, flash::SsdDevice &device,
         (1.0 - config.reserveFraction));
     lbaMap_.assign(logicalBlocks_, flash::kNoPage);
     owners_.assign(geo.totalPages(), -1);
-    validPages_.assign(geo.numBlocks, 0);
-    pendingPrograms_.assign(geo.numBlocks, 0);
-    victimized_.assign(geo.numBlocks, false);
-    for (std::uint32_t b = 0; b < geo.numBlocks; ++b)
-        freeBlocks_.push_back(b);
-    gcLowWater_ = std::max<std::uint32_t>(
-        3, static_cast<std::uint32_t>(0.05 *
-                                      static_cast<double>(geo.numBlocks)));
-    // Hysteresis: collect past the trigger so physical occupancy does
-    // not sit permanently at the cliff edge.
-    gcHighWater_ = std::max<std::uint32_t>(
-        gcLowWater_ + 2,
-        static_cast<std::uint32_t>(config.gcTargetFraction *
-                                   static_cast<double>(geo.numBlocks)));
 }
 
 std::int64_t &
@@ -68,55 +48,12 @@ Sftl::peek(Lba lba) const
     return &device_.peekPage(addr);
 }
 
-bool
-Sftl::needGc() const
-{
-    // Proactive collection: pursue the high-water mark whenever
-    // reclaimable space exists, instead of waiting for the cliff.
-    return freeBlocks_.size() < gcHighWater_;
-}
-
-void
-Sftl::kickGc()
-{
-    if (!gcRunning_ && needGc()) {
-        gcRunning_ = true;
-        sim::spawn(gcOnce());
-    }
-}
-
 sim::Task<flash::PageAddr>
 Sftl::allocatePage(bool for_gc)
 {
-    const Time start = sim_.now();
-    for (;;) {
-        std::int64_t &open = for_gc ? gcOpenBlock_ : openBlock_;
-        std::uint32_t &next = for_gc ? gcNextPage_ : nextPage_;
-        if (open >= 0 && next < device_.geometry().pagesPerBlock) {
-            flash::PageAddr addr{static_cast<std::uint32_t>(open),
-                                 next++};
-            ++pendingPrograms_[addr.block];
-            kickGc();
-            co_return addr;
-        }
-        const std::size_t min_free = for_gc ? 1 : 2;
-        if (freeBlocks_.size() >= min_free) {
-            auto best = freeBlocks_.begin();
-            for (auto it = freeBlocks_.begin(); it != freeBlocks_.end();
-                 ++it) {
-                if (device_.eraseCount(*it) < device_.eraseCount(*best))
-                    best = it;
-            }
-            open = *best;
-            freeBlocks_.erase(best);
-            next = 0;
-            continue;
-        }
-        kickGc();
-        if (sim_.now() - start > kAllocTimeout)
-            PANIC("sftl: device full — GC cannot free space");
-        co_await spaceFreed_.future().withTimeout(kSecond);
-    }
+    return pool_.nextPage(for_gc ? gcCursor_ : cursor_, device_,
+                          for_gc ? 1 : 2,
+                          "sftl: device full — GC cannot free space");
 }
 
 sim::Task<std::optional<flash::PageData>>
@@ -139,17 +76,17 @@ Sftl::write(Lba lba, flash::PageData data)
     stats_.counter("sftl.writes").inc();
     const flash::PageAddr addr = co_await allocatePage(false);
     co_await device_.programPage(addr, std::move(data));
-    --pendingPrograms_[addr.block];
+    pool_.endWrite(addr.block);
 
     const flash::PageAddr old = lbaMap_[static_cast<std::size_t>(lba)];
     if (old != flash::kNoPage) {
         owner(old) = -1;
-        --validPages_[old.block];
+        --pool_.live(old.block);
     }
     lbaMap_[static_cast<std::size_t>(lba)] = addr;
     owner(addr) = lba;
-    ++validPages_[addr.block];
-    kickGc();
+    ++pool_.live(addr.block);
+    pool_.kick();
     co_return PutStatus::Ok;
 }
 
@@ -160,37 +97,10 @@ Sftl::trim(Lba lba)
     const flash::PageAddr old = lbaMap_[static_cast<std::size_t>(lba)];
     if (old != flash::kNoPage) {
         owner(old) = -1;
-        --validPages_[old.block];
+        --pool_.live(old.block);
         lbaMap_[static_cast<std::size_t>(lba)] = flash::kNoPage;
     }
     co_return;
-}
-
-std::int32_t
-Sftl::pickVictim() const
-{
-    std::vector<bool> is_free(validPages_.size(), false);
-    for (auto b : freeBlocks_)
-        is_free[b] = true;
-    std::int32_t victim = -1;
-    std::uint64_t best_cost = std::numeric_limits<std::uint64_t>::max();
-    for (std::uint32_t b = 0; b < validPages_.size(); ++b) {
-        if (is_free[b] || victimized_[b] ||
-            static_cast<std::int64_t>(b) == openBlock_ ||
-            static_cast<std::int64_t>(b) == gcOpenBlock_ ||
-            pendingPrograms_[b] != 0)
-            continue;
-        if (validPages_[b] >= device_.geometry().pagesPerBlock)
-            continue; // nothing to reclaim
-        const std::uint64_t cost =
-            (static_cast<std::uint64_t>(validPages_[b]) << 20) +
-            device_.eraseCount(b);
-        if (cost < best_cost) {
-            best_cost = cost;
-            victim = static_cast<std::int32_t>(b);
-        }
-    }
-    return victim;
 }
 
 sim::Task<void>
@@ -208,82 +118,63 @@ Sftl::moveValidPage(std::uint32_t vb, std::uint32_t pg,
 
         const flash::PageAddr dst = co_await allocatePage(true);
         co_await device_.programPage(dst, std::move(copy));
-        --pendingPrograms_[dst.block];
+        pool_.endWrite(dst.block);
         stats_.counter("sftl.gc_page_writes").inc();
 
         // The LBA may have been overwritten or trimmed while the copy
         // was in flight; only remap if we still own it.
         if (lbaMap_[static_cast<std::size_t>(lba)] == addr) {
             owner(addr) = -1;
-            --validPages_[vb];
+            --pool_.live(vb);
             lbaMap_[static_cast<std::size_t>(lba)] = dst;
             owner(dst) = lba;
-            ++validPages_[dst.block];
+            ++pool_.live(dst.block);
         }
     }
     done->arrive();
 }
 
-sim::Task<void>
-Sftl::gcOnce()
+sim::Task<bool>
+Sftl::collectOnce()
 {
+    // Take a batch of victims whose valid pages fit in the free pool,
+    // then move all their valid pages in parallel: a serial collector
+    // cannot outpace the write stream through a saturated device. The
+    // blocks either cursor is filling are not collectable.
     const auto pages = device_.geometry().pagesPerBlock;
-    while (freeBlocks_.size() < gcHighWater_) {
-        // Select a batch of victims whose valid pages fit in the free
-        // pool (keeping one block spare), then move all their valid
-        // pages in parallel: a serial collector cannot outpace the
-        // write stream through a saturated device.
-        std::vector<std::uint32_t> victims;
-        std::uint64_t valid_total = 0;
-        while (victims.size() < 32) {
-            const std::int32_t v = pickVictim();
-            if (v < 0)
-                break;
-            const auto vb = static_cast<std::uint32_t>(v);
-            const std::uint64_t projected =
-                (valid_total + validPages_[vb] + pages) / pages + 1;
-            if (projected + 1 > freeBlocks_.size() && !victims.empty())
-                break;
-            victimized_[vb] = true;
-            victims.push_back(vb);
-            valid_total += validPages_[vb];
-            const std::uint64_t consumed =
-                (valid_total + pages - 1) / pages;
-            if (victims.size() >= consumed + 12)
-                break;
-        }
-        if (victims.empty())
-            break;
+    const std::vector<FreePool::Unit> victims = pool_.selectVictims(
+        PassLimits{32, 12, pages, true},
+        [this](FreePool::Unit b) {
+            const auto block = static_cast<std::int64_t>(b);
+            return block != cursor_.block && block != gcCursor_.block;
+        },
+        [this](FreePool::Unit b) { return device_.eraseCount(b); });
+    if (victims.empty())
+        co_return false;
 
-        std::uint32_t move_count = 0;
-        for (const std::uint32_t vb : victims) {
-            stats_.counter("sftl.gc_victims").inc();
-            device_.pinBlock(vb);
-            move_count += pages;
-        }
-        auto done = std::make_shared<sim::Quorum>(sim_, move_count);
-        for (const std::uint32_t vb : victims) {
-            for (std::uint32_t pg = 0; pg < pages; ++pg)
-                sim::spawn(moveValidPage(vb, pg, done));
-        }
-        co_await done->wait();
-
-        for (const std::uint32_t vb : victims) {
-            device_.unpinBlock(vb);
-            if (validPages_[vb] != 0)
-                PANIC("sftl: victim still has " << validPages_[vb]
-                                                << " valid pages");
-            co_await device_.eraseBlock(vb);
-            victimized_[vb] = false;
-            freeBlocks_.push_back(vb);
-            stats_.counter("sftl.gc_erases").inc();
-
-            auto freed = spaceFreed_;
-            spaceFreed_ = sim::Promise<bool>(sim_);
-            freed.set(true);
-        }
+    std::uint32_t move_count = 0;
+    for (const std::uint32_t vb : victims) {
+        stats_.counter("sftl.gc_victims").inc();
+        device_.pinBlock(vb);
+        move_count += pages;
     }
-    gcRunning_ = false;
+    auto done = std::make_shared<sim::Quorum>(sim_, move_count);
+    for (const std::uint32_t vb : victims) {
+        for (std::uint32_t pg = 0; pg < pages; ++pg)
+            sim::spawn(moveValidPage(vb, pg, done));
+    }
+    co_await done->wait();
+
+    for (const std::uint32_t vb : victims) {
+        device_.unpinBlock(vb);
+        if (pool_.live(vb) != 0)
+            PANIC("sftl: victim still has " << pool_.live(vb)
+                                            << " valid pages");
+        co_await device_.eraseBlock(vb);
+        pool_.release(vb);
+        stats_.counter("sftl.gc_erases").inc();
+    }
+    co_return true;
 }
 
 SingleVersionKv::SingleVersionKv(sim::Simulator &sim, Sftl &sftl,

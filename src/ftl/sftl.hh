@@ -23,13 +23,12 @@
 #define FTL_SFTL_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "flash/ssd.hh"
+#include "ftl/free_pool.hh"
 #include "ftl/kv_backend.hh"
-#include "sim/future.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
 
@@ -71,7 +70,7 @@ class Sftl
     sim::Task<void> trim(Lba lba);
 
     bool mapped(Lba lba) const;
-    std::size_t freeBlocks() const { return freeBlocks_.size(); }
+    std::size_t freeBlocks() const { return pool_.freeCount(); }
 
     /** Timing-free functional read of a mapped LBA (recovery scans,
      *  tests). Returns nullptr for unmapped LBAs. */
@@ -81,38 +80,25 @@ class Sftl
 
   private:
     sim::Task<flash::PageAddr> allocatePage(bool for_gc);
-    bool needGc() const;
-    void kickGc();
-    sim::Task<void> gcOnce();
+    sim::Task<bool> collectOnce();
     /** Relocate one page of a GC victim (spawned in parallel). */
     sim::Task<void> moveValidPage(std::uint32_t vb, std::uint32_t pg,
                                   std::shared_ptr<sim::Quorum> done);
-    std::int32_t pickVictim() const;
 
     /** Physical owner of each page: LBA, or -1 when invalid. */
     std::int64_t &owner(flash::PageAddr addr);
 
     sim::Simulator &sim_;
     flash::SsdDevice &device_;
-    Config config_;
 
     std::uint64_t logicalBlocks_;
     std::vector<flash::PageAddr> lbaMap_;
     std::vector<std::int64_t> owners_;
-    std::vector<std::uint32_t> validPages_;
-    std::vector<std::uint32_t> pendingPrograms_;
-    std::vector<bool> victimized_;
-
-    std::deque<std::uint32_t> freeBlocks_;
-    std::int64_t openBlock_ = -1;
-    std::uint32_t nextPage_ = 0;
-    std::int64_t gcOpenBlock_ = -1;
-    std::uint32_t gcNextPage_ = 0;
-
-    bool gcRunning_ = false;
-    std::uint32_t gcLowWater_ = 0;
-    std::uint32_t gcHighWater_ = 0;
-    sim::Promise<bool> spaceFreed_;
+    /** Blocks; a block's live count is its valid pages. */
+    FreePool pool_;
+    Cursor cursor_;
+    /** GC relocations fill their own block, apart from user writes. */
+    Cursor gcCursor_;
 
     common::StatSet stats_;
 };

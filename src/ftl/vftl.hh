@@ -3,9 +3,10 @@
  * VFTL: the paper's baseline — a multi-version key-value layer built
  * *on top of* a generic single-version FTL (section 5.1), with its own
  * lookup, request handling and garbage collection, separate from the
- * FTL's.
+ * FTL's. It is the same multi-version log as MFTL (mv_log.hh), run on
+ * SFTL's logical blocks instead of flash erase blocks.
  *
- * The duplication costs are exactly the ones Table 1 measures:
+ * The stacking costs are exactly the ones Table 1 measures:
  *
  *  - two mapping steps (key -> LBA -> physical page) instead of one;
  *  - 10% capacity reserved at *two* levels (the KV layer holds back
@@ -25,110 +26,128 @@
 #define FTL_VFTL_HH
 
 #include <cstdint>
-#include <deque>
-#include <vector>
+#include <optional>
 
-#include "ftl/kv_backend.hh"
-#include "ftl/mapping_table.hh"
-#include "ftl/pack_log.hh"
+#include "common/logging.hh"
+#include "ftl/free_pool.hh"
+#include "ftl/mv_log.hh"
 #include "ftl/sftl.hh"
-#include "sim/future.hh"
-#include "sim/task.hh"
 
 namespace ftl {
 
-class Vftl : public KvBackend
+/**
+ * VFTL's medium. A unit is one LBA of SFTL, taken FIFO from the free
+ * list; GC takes at most 256 victims a pass, stops once it nets 64
+ * LBAs, skips unmapped LBAs, reads each victim with one Sftl::read copy
+ * and trims it.
+ */
+class LogicalBlocks
 {
   public:
-    struct Config
+    using Addr = Lba;
+    using Unit = FreePool::Unit;
+    /** A copy of the logical block; empty if the LBA is unmapped. */
+    using Page = std::optional<flash::PageData>;
+
+    static constexpr const char *kName = "vftl";
+    static constexpr const char *kWritten = "lbas_written";
+    static constexpr const char *kGcReads = "gc_lba_reads";
+    static constexpr const char *kReclaimed = "gc_trims";
+    static constexpr const char *kAdmitPanic =
+        "vftl: device full — writes cannot be admitted";
+
+    explicit LogicalBlocks(Sftl &sftl) : sftl_(sftl) {}
+
+    std::uint32_t units() const
     {
-        common::Duration packTimeout = common::kMillisecond;
-        /** Fraction of LBAs the KV layer reserves for its own GC. */
-        double reserveFraction = 0.10;
+        return static_cast<std::uint32_t>(sftl_.logicalBlocks());
+    }
+    std::uint32_t pageBytes() const { return sftl_.pageSize(); }
+    PassLimits
+    passLimits(std::uint32_t recordSize) const
+    {
+        return {256, 64, sftl_.pageSize() / recordSize, false};
+    }
+    static Unit unitOf(Addr lba) { return static_cast<Unit>(lba); }
+
+    sim::Task<Unit>
+    allocate(FreePool &pool, bool relocation)
+    {
+        return pool.take(relocation ? 1 : 3,
+                         "vftl: out of logical blocks — KV-layer GC "
+                         "cannot free space");
+    }
+    sim::Task<PutStatus>
+    write(Addr lba, flash::PageData page)
+    {
+        return sftl_.write(lba, std::move(page));
+    }
+    /** Second mapping step: LBA -> physical page, inside SFTL. */
+    sim::Task<Page> read(Addr lba) { return sftl_.read(lba); }
+    void pin(Unit) {}
+    void unpin(Unit) {}
+    static const flash::PageData &
+    mapped(const Page &page)
+    {
+        if (!page.has_value())
+            PANIC("vftl: mapped LBA has no data");
+        return *page;
+    }
+    static const flash::PageData &
+    scanned(const Page &page)
+    {
+        if (!page.has_value())
+            PANIC("vftl: victim LBA vanished");
+        return *page;
+    }
+
+    /** Calls @p fn(lba, contents); contents is null when unmapped. */
+    template <typename Fn>
+    void
+    forEachPage(Unit lba, Fn &&fn) const
+    {
+        fn(static_cast<Addr>(lba), sftl_.peek(static_cast<Addr>(lba)));
+    }
+
+    bool collectable(Unit lba) const { return sftl_.mapped(lba); }
+    /** SFTL levels wear below; every LBA counts as unworn. */
+    std::uint32_t wear(Unit) const { return 0; }
+    sim::Task<void> reclaim(Unit lba) { return sftl_.trim(lba); }
+    static void
+    stillLive(Unit, std::uint32_t)
+    {
+        PANIC("vftl: victim LBA still live after remap");
+    }
+    void reset() {}
+
+  private:
+    Sftl &sftl_;
+};
+
+extern template class MvLog<LogicalBlocks>;
+
+class Vftl : public MvLog<LogicalBlocks>
+{
+  public:
+    struct Config : LogConfig
+    {
         /** Free-LBA fraction the collector restores per pass. The
          *  split stack keeps only its 10% reserve working room (the
          *  paper's configuration); compare MFTL's integrated
          *  watermark-driven target. */
-        double gcTargetFraction = 0.15;
-        std::uint32_t recordSize = 512;
-        common::Duration watermarkSweepInterval =
-            50 * common::kMillisecond;
-        /** Pre-size the mapping table for this many keys (0 = grow). */
-        std::uint64_t expectedKeys = 0;
+        Config() { gcTargetFraction = 0.15; }
     };
 
-    Vftl(sim::Simulator &sim, Sftl &sftl, const Config &config);
-
-    sim::Task<GetResult> get(Key key, Version at) override;
-    sim::Task<PutStatus> put(Key key, Value value, Version version) override;
-    sim::Task<void> erase(Key key) override;
-    void setWatermark(Time watermark) override;
-    std::optional<Version> versionAt(Key key, Version at) override;
-    bool multiVersion() const override { return true; }
-    common::StatSet &stats() override { return stats_; }
-    void reserveKeys(std::uint64_t keys) override { map_.reserveKeys(keys); }
-    std::uint64_t dataPlaneBytes() const override
+    Vftl(sim::Simulator &sim, Sftl &sftl, const Config &config)
+        : MvLog(sim, LogicalBlocks(sftl), config)
     {
-        return map_.memoryBytes();
     }
 
-    void start();
+    std::size_t freeLbas() const { return freeUnits(); }
 
-    std::size_t versionCount(Key key) const;
-    std::size_t freeLbas() const { return freeLbas_.size(); }
-
-    /**
-     * Rebuild the KV layer's mapping by scanning every mapped logical
-     * block in the FTL below, as a restarted storage server would.
-     * Returns the number of tuples recovered. (Timing-free: models an
-     * offline scan.)
-     */
-    std::size_t rebuildFromStore();
-
-  private:
-    struct Loc
-    {
-        Lba lba;
-        std::uint16_t slot;
-    };
-
-    using Store = VersionStore<Loc>;
-    using ChainRef = Store::ChainRef;
-
-    void flushBatch(std::vector<Pending> batch);
-    sim::Task<void> flushTask(std::vector<Pending> batch);
-    sim::Task<void> admitUserWrite();
-    sim::Task<Lba> allocateLba(bool has_relocation);
-
-    bool needGc() const;
-    void kickGc();
-    sim::Task<void> gcOnce();
-    sim::Task<void> watermarkSweep();
-    std::int64_t pickVictim() const;
-
-    void pruneChain(ChainRef chain);
-    void dropEntry(const Store::Entry &entry);
-
-    sim::Simulator &sim_;
-    Sftl &sftl_;
-    Config config_;
-
-    Store map_;
-    std::vector<std::uint32_t> liveRecords_;
-    std::vector<bool> pendingWrite_;
-    /** LBAs being compacted by the current GC pass. */
-    std::vector<bool> victimized_;
-    std::deque<Lba> freeLbas_;
-
-    PackLog packLog_;
-    Time watermark_ = 0;
-
-    bool gcRunning_ = false;
-    std::uint64_t gcLowWater_ = 0;
-    std::uint64_t gcHighWater_ = 0;
-    sim::Promise<bool> spaceFreed_;
-
-    common::StatSet stats_;
+    /** Rebuild the KV layer's mapping by scanning every mapped logical
+     *  block below (timing-free: models a restarted server's scan). */
+    std::size_t rebuildFromStore() { return rebuild(); }
 };
 
 } // namespace ftl

@@ -467,12 +467,8 @@ Cluster::populate()
 void
 Cluster::start()
 {
-    for (auto &backend : backends_) {
-        if (auto *mftl = dynamic_cast<ftl::Mftl *>(backend.get()))
-            mftl->start();
-        else if (auto *vftl = dynamic_cast<ftl::Vftl *>(backend.get()))
-            vftl->start();
-    }
+    for (auto &backend : backends_)
+        backend->start();
     for (auto &server : servers_)
         server->start();
     if (ensemble_ != nullptr)

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "flash/ssd.hh"
 #include "ftl/dram.hh"
@@ -17,6 +19,7 @@
 #include "ftl/sftl.hh"
 #include "ftl/vftl.hh"
 #include "sim/simulator.hh"
+#include "sim/sync.hh"
 #include "sim/task.hh"
 
 using namespace ftl;
@@ -797,4 +800,186 @@ TEST(Vftl, RebuildAfterGcStillConsistent)
         }
     });
     EXPECT_TRUE(all_ok);
+}
+
+// ------------------------------------------------- exact GC traffic
+//
+// One fixed overwrite workload per FTL, driving several GC passes.
+// The expected figures are the device and collector traffic of the
+// current implementation; any change to victim order, pass sizing,
+// wear-levelled block choice or pack batching moves at least one of
+// them, so a refactor that claims identical behaviour must keep them.
+
+namespace {
+
+using Expected = std::initializer_list<std::pair<const char *, std::uint64_t>>;
+
+void
+expectCounters(const common::StatSet &stats, Expected expected)
+{
+    for (const auto &[name, value] : expected)
+        EXPECT_EQ(stats.counterValue(name), value) << name;
+}
+
+/** Sum of (block + 1) x erase count: moves if wear levelling drifts. */
+std::uint64_t
+wearDigest(const flash::SsdDevice &ssd)
+{
+    std::uint64_t digest = 0;
+    for (std::uint32_t b = 0; b < ssd.geometry().numBlocks; ++b)
+        digest += (b + 1) * ssd.eraseCount(b);
+    return digest;
+}
+
+constexpr int kWriters = 4;
+
+/**
+ * Writer @p w of kWriters: overwrites keys k = w (mod kWriters) below
+ * @p keys for @p rounds rounds; after each round it reads back key w
+ * and advances the watermark. Writer 0 erases key 0 midway.
+ */
+sim::Task<void>
+kvWriter(KvBackend &kv, int w, Key keys, int rounds, bool &ok,
+         std::shared_ptr<sim::Quorum> done)
+{
+    for (int round = 0; round < rounds; ++round) {
+        const std::string value = "r" + std::to_string(round);
+        for (Key k = static_cast<Key>(w); k < keys; k += kWriters) {
+            ok &= co_await kv.put(k, value,
+                                  v(round * 1000 + static_cast<int>(k) + 1,
+                                    static_cast<common::ClientId>(w))) ==
+                  PutStatus::Ok;
+        }
+        const auto g = co_await kv.getLatest(static_cast<Key>(w));
+        ok &= g.found && g.value == value;
+        if (w == 0 && round == rounds / 2)
+            co_await kv.erase(0);
+        kv.setWatermark(round * 1000);
+    }
+    done->arrive();
+}
+
+/** Run kWriters kvWriters to completion, then check every key. */
+bool
+runKvOverwrites(sim::Simulator &s, KvBackend &kv, Key keys, int rounds)
+{
+    bool ok = true;
+    runSim(s, [&]() -> sim::Task<void> {
+        auto done = std::make_shared<sim::Quorum>(s, kWriters);
+        for (int w = 0; w < kWriters; ++w)
+            sim::spawn(kvWriter(kv, w, keys, rounds, ok, done));
+        co_await done->wait();
+        const std::string last = "r" + std::to_string(rounds - 1);
+        for (Key k = 0; k < keys; ++k) {
+            const auto g = co_await kv.getLatest(k);
+            ok &= g.found && g.value == last;
+        }
+        s.requestStop();
+    });
+    return ok;
+}
+
+/**
+ * Writer @p w of kWriters over LBAs = w (mod kWriters): every third
+ * LBA is cold (written once), the rest are rewritten each round, so
+ * victims keep cold pages GC must move. Writer 0 trims LBA 4 midway.
+ */
+sim::Task<void>
+lbaWriter(Sftl &sftl, int w, Lba lbas, int rounds, bool &ok,
+          std::shared_ptr<sim::Quorum> done)
+{
+    for (int round = 0; round < rounds; ++round) {
+        for (Lba lba = w; lba < lbas; lba += kWriters) {
+            if (round > 0 && lba % 3 == 0)
+                continue;
+            flash::PageData d;
+            flash::Record r;
+            r.key = static_cast<Key>(lba);
+            r.value = std::to_string(round);
+            d.records.push_back(r);
+            ok &= co_await sftl.write(lba, std::move(d)) == PutStatus::Ok;
+        }
+        if (w == 0 && round == rounds / 2)
+            co_await sftl.trim(4);
+    }
+    done->arrive();
+}
+
+} // namespace
+
+TEST(GcTraffic, MftlExact)
+{
+    MftlFixture f(32);
+    f.mftl.start();
+    EXPECT_TRUE(runKvOverwrites(f.s, f.mftl, 200, 40));
+    expectCounters(f.mftl.stats(), {{"mftl.pages_written", 2803},
+                                    {"mftl.gc_victims", 334},
+                                    {"mftl.gc_page_reads", 1864},
+                                    {"mftl.gc_erases", 334},
+                                    {"mftl.gc_remapped", 6403},
+                                    {"mftl.versions_pruned", 7600}});
+    expectCounters(f.ssd.stats(), {{"ssd.programs", 2803},
+                                   {"ssd.erases", 334},
+                                   {"ssd.reads", 2224}});
+    EXPECT_EQ(wearDigest(f.ssd), 5385u);
+    EXPECT_EQ(f.mftl.freeBlocks(), 15u);
+    EXPECT_EQ(f.s.now(), 2300000000);
+}
+
+TEST(GcTraffic, VftlExact)
+{
+    VftlFixture f(24);
+    f.vftl.start();
+    EXPECT_TRUE(runKvOverwrites(f.s, f.vftl, 150, 30));
+    expectCounters(f.vftl.stats(), {{"vftl.lbas_written", 1394},
+                                    {"vftl.gc_victims", 1273},
+                                    {"vftl.gc_lba_reads", 621},
+                                    {"vftl.gc_trims", 1273},
+                                    {"vftl.gc_remapped", 1987},
+                                    {"vftl.versions_pruned", 4200}});
+    expectCounters(f.sftl.stats(), {{"sftl.writes", 1394},
+                                    {"sftl.reads", 891},
+                                    {"sftl.trims", 1273},
+                                    {"sftl.gc_victims", 204},
+                                    {"sftl.gc_page_reads", 371},
+                                    {"sftl.gc_page_writes", 371},
+                                    {"sftl.gc_erases", 204}});
+    expectCounters(f.ssd.stats(), {{"ssd.programs", 1765},
+                                   {"ssd.erases", 204},
+                                   {"ssd.reads", 1262}});
+    EXPECT_EQ(wearDigest(f.ssd), 2556u);
+    EXPECT_EQ(f.vftl.freeLbas(), 51u);
+    EXPECT_EQ(f.s.now(), 2174200000);
+}
+
+TEST(GcTraffic, SftlExact)
+{
+    SftlFixture f(16);
+    bool ok = true;
+    runSim(f.s, [&]() -> sim::Task<void> {
+        auto done = std::make_shared<sim::Quorum>(f.s, kWriters);
+        for (int w = 0; w < kWriters; ++w)
+            sim::spawn(lbaWriter(f.sftl, w, 80, 30, ok, done));
+        co_await done->wait();
+        for (Lba lba = 0; lba < 80; ++lba) {
+            const auto g = co_await f.sftl.read(lba);
+            ok &= g.has_value() &&
+                  g->records[0].value == (lba % 3 == 0 ? "0" : "29");
+        }
+        f.s.requestStop();
+    });
+    EXPECT_TRUE(ok);
+    expectCounters(f.sftl.stats(), {{"sftl.writes", 1617},
+                                    {"sftl.reads", 80},
+                                    {"sftl.trims", 1},
+                                    {"sftl.gc_victims", 211},
+                                    {"sftl.gc_page_reads", 152},
+                                    {"sftl.gc_page_writes", 152},
+                                    {"sftl.gc_erases", 211}});
+    expectCounters(f.ssd.stats(), {{"ssd.programs", 1769},
+                                   {"ssd.erases", 211},
+                                   {"ssd.reads", 232}});
+    EXPECT_EQ(wearDigest(f.ssd), 1617u);
+    EXPECT_EQ(f.sftl.freeBlocks(), 5u);
+    EXPECT_EQ(f.s.now(), 1224100000);
 }
