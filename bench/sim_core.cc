@@ -15,6 +15,12 @@
  *                         iteration — exercises FutureState allocation.
  *  - timeout_race:        Future::withTimeout where the value beats the
  *                         timer — the combinator's bookkeeping cost.
+ *  - task_chain:          every event resumes a coroutine that
+ *                         co_awaits a fresh child Task — the shape of
+ *                         protocol code (handler -> storage -> flash).
+ *                         The pass/fail bar for "zero heap allocations
+ *                         per event" covering coroutine frames, which
+ *                         come from the thread's block pool.
  *  - metrics_ring:        timer_ring with the metrics plane on: every
  *                         tick bumps counters and a histogram in a
  *                         StatSet a MetricsRegistry samples on a fixed
@@ -268,6 +274,61 @@ timeoutRace(std::uint64_t target_events)
     return r;
 }
 
+/** One hop of a chain: sleep one period, count one hop. */
+sim::Task<std::uint64_t>
+chainChild(sim::Simulator &sim, Duration period)
+{
+    co_await sim::sleepFor(sim, period);
+    co_return 1;
+}
+
+/** Awaits a fresh child Task per event until the simulator stops. */
+sim::Task<void>
+chainLoop(sim::Simulator &sim, Duration period, std::uint64_t *fired)
+{
+    while (!sim.stopRequested())
+        *fired += co_await chainChild(sim, period);
+}
+
+ScenarioResult
+taskChain(std::uint64_t target_events)
+{
+    sim::Simulator sim;
+    std::uint64_t fired = 0;
+    constexpr std::uint32_t kChains = 64;
+    for (std::uint32_t i = 0; i < kChains; ++i)
+        sim::spawn(chainLoop(sim, (1 + i % 7) * kMicrosecond, &fired));
+    // Warm up: fills the frame pool and the queue's storage.
+    sim.runUntil(200 * kMicrosecond);
+
+    // Same event density as timer_ring: ~24 events/us.
+    const Duration horizon =
+        static_cast<Duration>(target_events / 24 + 1) * kMicrosecond;
+
+    const AllocSnapshot before = AllocSnapshot::take();
+    const auto start = std::chrono::steady_clock::now();
+    const std::uint64_t processed = sim.runUntil(sim.now() + horizon);
+    const double secs = wallSeconds(start);
+    const AllocSnapshot after = AllocSnapshot::take();
+
+    // Let every chain finish so its frames are freed.
+    sim.requestStop();
+    sim.run();
+    if (fired < processed)
+        PANIC("task_chain lost a hop");
+
+    ScenarioResult r;
+    r.name = "task_chain";
+    r.events = processed;
+    r.seconds = secs;
+    r.allocsPerEvent =
+        static_cast<double>(after.calls - before.calls) /
+        static_cast<double>(processed ? processed : 1);
+    r.bytesPerEvent = static_cast<double>(after.bytes - before.bytes) /
+                      static_cast<double>(processed ? processed : 1);
+    return r;
+}
+
 /**
  * timer_ring with the metrics plane sampling on top: ticks bump two
  * counters and record one histogram sample; a self-rescheduling
@@ -384,6 +445,7 @@ main(int argc, char **argv)
     results.push_back(sameInstantBurst(target));
     results.push_back(futurePingpong(target));
     results.push_back(timeoutRace(target));
+    results.push_back(taskChain(target));
     results.push_back(metricsRing(target));
 
     for (const ScenarioResult &r : results) {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/histogram.hh"
 
@@ -40,12 +41,23 @@ class Counter
  *   stats.counter("txn.committed").inc();
  *   stats.histogram("txn.latency").record(latency);
  * @endcode
+ *
+ * Names are looked up as std::string_view through a transparent
+ * comparator, so a hit builds no std::string; the key is copied only
+ * when the name is first created.
  */
 class StatSet
 {
   public:
-    Counter &counter(const std::string &name) { return counters_[name]; }
-    Histogram &histogram(const std::string &name) { return histograms_[name]; }
+    template <typename V>
+    using Map = std::map<std::string, V, std::less<>>;
+
+    Counter &counter(std::string_view name) { return slot(counters_, name); }
+    Histogram &
+    histogram(std::string_view name)
+    {
+        return slot(histograms_, name);
+    }
 
     /**
      * Read-only lookup that never creates: exporters and report code
@@ -53,20 +65,14 @@ class StatSet
      * grow it — counter()/histogram() are create-on-read by design.
      * @return nullptr when the name was never recorded.
      */
-    const Counter *findCounter(const std::string &name) const;
-    const Histogram *findHistogram(const std::string &name) const;
+    const Counter *findCounter(std::string_view name) const;
+    const Histogram *findHistogram(std::string_view name) const;
 
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return histograms_;
-    }
+    const Map<Counter> &counters() const { return counters_; }
+    const Map<Histogram> &histograms() const { return histograms_; }
 
     /** Value of a counter, or 0 when absent (read-only convenience). */
-    std::uint64_t counterValue(const std::string &name) const;
+    std::uint64_t counterValue(std::string_view name) const;
 
     /** Merge all stats from another set into this one. */
     void merge(const StatSet &other);
@@ -86,8 +92,19 @@ class StatSet
     void toJson(JsonWriter &w, const std::string &prefix = "") const;
 
   private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Histogram> histograms_;
+    /** Find-or-create @p name in @p map. */
+    template <typename V>
+    static V &
+    slot(Map<V> &map, std::string_view name)
+    {
+        auto it = map.lower_bound(name);
+        if (it == map.end() || it->first != name)
+            it = map.try_emplace(it, std::string(name));
+        return it->second;
+    }
+
+    Map<Counter> counters_;
+    Map<Histogram> histograms_;
 };
 
 } // namespace common

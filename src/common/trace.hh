@@ -282,6 +282,9 @@ class Tracer
  * it — including across co_awaits, because the sim layer saves and
  * restores the context around every suspension. finish() restores the
  * surrounding context.
+ *
+ * The name and tag are held as views until the SpanEnd is emitted, so
+ * they must outlive the span (pass literals or other static strings).
  */
 class ScopedSpan
 {
@@ -304,8 +307,10 @@ class ScopedSpan
 
   private:
     Tracer &tracer_;
-    std::string name_;
-    std::string tag_;
+    /** Views, not copies: every caller passes a string literal or
+     *  semel::abortReasonName(), both static. */
+    std::string_view name_;
+    std::string_view tag_;
     std::int64_t arg_ = 0;
     std::int64_t arg2_ = 0;
     std::uint64_t span_ = 0;

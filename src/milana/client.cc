@@ -198,17 +198,27 @@ MilanaClient::twoPhaseCommit(Transaction &txn, bool read_only)
     const Version commit_version{clock_.localNow(), clientId_};
     txn.commitVersion_ = commit_version;
 
-    // Partition read and write sets by participant shard.
+    // Partition read and write sets by participant shard. Each shard's
+    // sets are sized for the whole transaction on first use, so they
+    // allocate once instead of growing.
     std::map<common::ShardId, semel::PrepareRequest> by_shard;
-    for (const auto &[key, cached] : txn.readSet_) {
-        auto &req = by_shard[master_.shardMap().shardOf(key)];
-        req.readSet.push_back(ReadSetEntry{key, cached.observed});
-    }
-    for (const auto &[key, value] : txn.writeSet_) {
-        auto &req = by_shard[master_.shardMap().shardOf(key)];
-        req.writeSet.push_back(semel::WriteSetEntry{key, value});
-    }
+    const auto requestFor = [&](Key key) -> semel::PrepareRequest & {
+        auto [it, fresh] =
+            by_shard.try_emplace(master_.shardMap().shardOf(key));
+        if (fresh) {
+            it->second.readSet.reserve(txn.readSet_.size());
+            it->second.writeSet.reserve(txn.writeSet_.size());
+        }
+        return it->second;
+    };
+    for (const auto &[key, cached] : txn.readSet_)
+        requestFor(key).readSet.push_back(
+            ReadSetEntry{key, cached.observed});
+    for (const auto &[key, value] : txn.writeSet_)
+        requestFor(key).writeSet.push_back(
+            semel::WriteSetEntry{key, value});
     std::vector<common::ShardId> participants;
+    participants.reserve(by_shard.size());
     for (const auto &[shard, req] : by_shard)
         participants.push_back(shard);
 
@@ -239,12 +249,18 @@ MilanaClient::twoPhaseCommit(Transaction &txn, bool read_only)
                       std::shared_ptr<VoteState> votes)
                        -> sim::Task<void> {
             std::optional<semel::PrepareResponse> resp;
-            for (std::uint32_t attempt = 0;
-                 attempt <= self->tcfg_.prepareRetries && !resp;
+            const std::uint32_t retries = self->tcfg_.prepareRetries;
+            for (std::uint32_t attempt = 0; attempt <= retries && !resp;
                  ++attempt) {
+                // The handler owns its request; keep ours for a retry
+                // unless this is the last attempt. (A named local, not
+                // a conditional temporary inside the co_await: GCC 12
+                // destroys such a temporary twice.)
+                semel::PrepareRequest sent =
+                    attempt < retries ? request : std::move(request);
                 resp = co_await self->net_.callTyped<semel::PrepareResponse>(
                     self->nodeId(), primary->nodeId(),
-                    primary->handlePrepare(request));
+                    primary->handlePrepare(std::move(sent)));
             }
             if (!resp.has_value()) {
                 votes->anyFailure = true;
@@ -254,7 +270,7 @@ MilanaClient::twoPhaseCommit(Transaction &txn, bool read_only)
                     votes->reason = resp->reason;
             }
             votes->all.arrive();
-        }(this, primary, req, votes));
+        }(this, primary, std::move(req), votes));
     }
 
     co_await votes->all.wait();

@@ -285,12 +285,13 @@ MilanaServer::handlePrepare(PrepareRequest request)
 
     // Persist the prepare on a majority before voting: replicate the
     // record (with the write set and shard list) and wait for f acks.
+    // The request is not read again, so the record takes its sets.
     ReplicateTxnRecord record;
     record.kind = TxnRecordKind::Prepared;
     record.txn = request.txn;
     record.commitVersion = request.commitVersion;
-    record.writeSet = request.writeSet;
-    record.participants = request.participants;
+    record.writeSet = std::move(request.writeSet);
+    record.participants = std::move(request.participants);
     co_await replicateTxnRecord(std::move(record), true);
 
     stats_.counter("milana.votes_commit").inc();
@@ -301,18 +302,19 @@ MilanaServer::handlePrepare(PrepareRequest request)
 // ---------------------------------------------------------- decision
 
 sim::Task<void>
-MilanaServer::applyCommit(TxnEntry &entry, bool late)
+MilanaServer::applyCommit(const ReplicateTxnRecord &record, bool late)
 {
     // Apply buffered writes in parallel; each key's prepared mark is
     // cleared only after its write is durable, so read-only snapshots
     // taken in the window still see the prepared flag (section 4.3).
     auto done = std::make_shared<sim::Quorum>(
-        sim_, static_cast<std::uint32_t>(entry.writeSet.size()));
-    for (const auto &write : entry.writeSet) {
+        sim_, static_cast<std::uint32_t>(record.writeSet.size()));
+    for (const auto &write : record.writeSet) {
         sim::spawn([](MilanaServer *self, Key key, Value value,
                       Version version, TxnId txn, bool late,
                       std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
-            (void)co_await self->backend_.put(key, value, version);
+            (void)co_await self->backend_.put(key, std::move(value),
+                                              version);
             auto &ks = self->keys_.state(key);
             ks.latestCommitted = std::max(ks.latestCommitted, version);
             if (ks.prepared.has_value() && ks.preparedBy == txn)
@@ -327,10 +329,10 @@ MilanaServer::applyCommit(TxnEntry &entry, bool late)
                                  static_cast<std::int64_t>(key),
                                  version.timestamp);
             q->arrive();
-        }(this, write.key, write.value, entry.commitVersion, entry.txn,
+        }(this, write.key, write.value, record.commitVersion, record.txn,
           late, done));
     }
-    if (!entry.writeSet.empty())
+    if (!record.writeSet.empty())
         co_await done->wait();
     stats_.counter("milana.committed").inc();
 }
@@ -369,15 +371,17 @@ MilanaServer::handleDecision(DecisionRequest request)
                         ? semel::TxnStatus::Committed
                         : semel::TxnStatus::Aborted;
 
+    // Once claimed, nothing reads the entry's sets again (it is erased
+    // below), so the outcome record takes them instead of copying.
     ReplicateTxnRecord record;
     record.txn = request.txn;
     record.commitVersion = entry->commitVersion;
-    record.participants = entry->participants;
+    record.participants = std::move(entry->participants);
 
     if (request.decision == TxnDecision::Commit) {
         record.kind = TxnRecordKind::Committed;
-        record.writeSet = entry->writeSet;
-        co_await applyCommit(*entry, request.late);
+        record.writeSet = std::move(entry->writeSet);
+        co_await applyCommit(record, request.late);
         txns_.resolve(request.txn, semel::TxnStatus::Committed);
     } else {
         record.kind = TxnRecordKind::Aborted;
@@ -403,9 +407,11 @@ MilanaServer::replicateTxnRecord(ReplicateTxnRecord record,
                                  bool wait_quorum)
 {
     // Our own durable log entry first (the primary is a replica too).
-    txnLog_.push_back(record);
-    if (backups_.empty())
+    if (backups_.empty()) {
+        txnLog_.push_back(std::move(record));
         co_return;
+    }
+    txnLog_.push_back(record);
 
     const char *kind = record.kind == TxnRecordKind::Prepared
                            ? "prepared"
@@ -419,19 +425,23 @@ MilanaServer::replicateTxnRecord(ReplicateTxnRecord record,
         config_.backupAcksNeeded,
         static_cast<std::uint32_t>(backups_.size()));
     auto quorum = std::make_shared<sim::Quorum>(sim_, needed);
-    for (semel::Server *backup : backups_) {
-        auto *mb = dynamic_cast<MilanaServer *>(backup);
+    for (std::size_t i = 0; i < backups_.size(); ++i) {
+        auto *mb = dynamic_cast<MilanaServer *>(backups_[i]);
         if (mb == nullptr)
             PANIC("milana primary wired to a non-milana backup");
+        // Each backup's handler owns its record: copy for all but the
+        // last backup, which takes ours.
+        ReplicateTxnRecord sent =
+            i + 1 < backups_.size() ? record : std::move(record);
         sim::spawn([](MilanaServer *self, MilanaServer *backup,
                       ReplicateTxnRecord rec,
                       std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
             auto ok = co_await self->net_.callTyped<bool>(
                 self->id_, backup->nodeId(),
-                backup->handleReplicateTxnRecord(rec));
+                backup->handleReplicateTxnRecord(std::move(rec)));
             if (ok.has_value() && *ok)
                 q->arrive();
-        }(this, mb, record, quorum));
+        }(this, mb, std::move(sent), quorum));
     }
     if (wait_quorum) {
         co_await quorum->wait();
@@ -471,10 +481,10 @@ sim::Task<bool>
 MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record)
 {
     stats_.counter("milana.replica_records").inc();
-    // Log first (models the persistent-memory log write), then apply —
-    // records may arrive in any order (Figure 5).
-    txnLog_.push_back(record);
-
+    // Apply the record — records may arrive in any order (Figure 5) —
+    // then append it to the log (models the persistent-memory log
+    // write). Nothing below reads the log, so the order is not
+    // observable, and the log can take the record instead of a copy.
     switch (record.kind) {
       case TxnRecordKind::Prepared: {
         if (txns_.statusOf(record.txn) == semel::TxnStatus::Unknown) {
@@ -496,7 +506,8 @@ MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record)
         for (const auto &write : record.writeSet) {
             sim::spawn([](MilanaServer *self, Key key, Value value,
                           Version version) -> sim::Task<void> {
-                (void)co_await self->backend_.put(key, value, version);
+                (void)co_await self->backend_.put(key, std::move(value),
+                                                  version);
                 self->noteCommitted(key, version);
             }(this, write.key, write.value, record.commitVersion));
         }
@@ -506,6 +517,7 @@ MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record)
         txns_.resolve(record.txn, semel::TxnStatus::Aborted);
         break;
     }
+    txnLog_.push_back(std::move(record));
     co_return true;
 }
 

@@ -161,7 +161,10 @@ class MilanaServer : public semel::Server
      *  the version stamps). */
     sim::Task<void> ensureKeyState(Key key);
 
-    sim::Task<void> applyCommit(TxnEntry &entry, bool late);
+    /** Apply a committed record's writes; @p record must stay alive
+     *  until the returned task completes. */
+    sim::Task<void> applyCommit(const ReplicateTxnRecord &record,
+                                bool late);
     void applyAbort(TxnEntry &entry);
 
     sim::Task<void> replicateTxnRecord(ReplicateTxnRecord record,

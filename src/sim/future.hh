@@ -13,12 +13,11 @@
  *
  * Hot-path design (see PERFORMANCE.md):
  *
- *  - FutureState is pool-allocated from the owning simulator's
- *    free-list (sim/pool.hh) and intrusively refcounted by StateRef —
- *    no std::make_shared control block, no atomic refcounts (each
- *    simulator is single-threaded). A consequence: futures must not
- *    outlive their Simulator (already implied — resolving schedules
- *    onto it).
+ *  - FutureState is allocated from the thread's free-list pool
+ *    (sim/pool.hh, shared with coroutine frames) and intrusively
+ *    refcounted by StateRef — no std::make_shared control block, no
+ *    atomic refcounts (each simulator is single-threaded). Futures
+ *    must not outlive their Simulator: resolving schedules onto it.
  *
  *  - Waiters are stored as plain records (handle + TraceContext), one
  *    inline + overflow vector, instead of per-waiter std::function
@@ -48,6 +47,7 @@
 
 #include "common/logging.hh"
 #include "common/trace.hh"
+#include "sim/pool.hh"
 #include "sim/simulator.hh"
 
 namespace sim {
@@ -193,11 +193,11 @@ class StateRef
             ++p_->refs;
     }
 
-    /** Allocate a fresh state (refcount 1) from @p sim's pool. */
+    /** Allocate a fresh state (refcount 1) from the thread's pool. */
     static StateRef
     make(Simulator &sim)
     {
-        void *mem = sim.pool().allocate(sizeof(FutureState<T>));
+        void *mem = BlockPool::allocate(sizeof(FutureState<T>));
         StateRef r;
         r.p_ = ::new (mem) FutureState<T>(sim);
         return r;
@@ -245,9 +245,8 @@ class StateRef
         if (!p_)
             return;
         if (--p_->refs == 0) {
-            Simulator *sim = p_->sim;
             p_->~FutureState<T>();
-            sim->pool().deallocate(p_, sizeof(FutureState<T>));
+            BlockPool::deallocate(p_, sizeof(FutureState<T>));
         }
         p_ = nullptr;
     }

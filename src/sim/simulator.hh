@@ -19,8 +19,10 @@
  * caller's TraceContext into the Event itself — the run loop installs
  * it before the callback runs, so no capture wrapper is allocated.
  * Callbacks are sim::Callback (48-byte inline storage, no heap for
- * typical captures). The simulator also owns a BlockPool that recycles
- * future-state objects for the run's lifetime.
+ * typical captures). Coroutine frames and future states come from the
+ * thread's sim::detail::BlockPool (sim/pool.hh), not from the
+ * simulator: one pool per thread, as there is one simulator per
+ * thread.
  */
 
 #ifndef SIM_SIMULATOR_HH
@@ -31,7 +33,6 @@
 #include "common/trace.hh"
 #include "common/types.hh"
 #include "sim/event_queue.hh"
-#include "sim/pool.hh"
 
 namespace sim {
 
@@ -93,16 +94,10 @@ class Simulator
 
     std::size_t pendingEvents() const { return queue_.size(); }
 
-    /** Free-list allocator for per-simulator bookkeeping (future
-     *  states). Objects allocated here must not outlive the
-     *  simulator. */
-    detail::BlockPool &pool() { return pool_; }
-
   private:
     std::uint64_t runLoop(Time limit, bool bounded);
 
     EventQueue queue_;
-    detail::BlockPool pool_;
     Time now_ = 0;
     bool stopped_ = false;
     bool stopRequested_ = false;

@@ -13,6 +13,10 @@
  *    and owns itself; its frame is destroyed when it completes. Used
  *    for top-level processes (client loops, server timers).
  *
+ * Frames are allocated from the thread's sim::detail::BlockPool
+ * (sim/pool.hh): after warm-up, starting a task costs a free-list pop,
+ * not a malloc.
+ *
  * Exceptions: this codebase reports failures through return values
  * (status enums), not exceptions. An exception escaping a coroutine is
  * a bug and panics.
@@ -22,10 +26,12 @@
 #define SIM_TASK_HH
 
 #include <coroutine>
+#include <cstddef>
 #include <utility>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
+#include "sim/pool.hh"
 
 namespace sim {
 
@@ -40,6 +46,19 @@ struct PromiseBase
 {
     std::coroutine_handle<> continuation;
     bool detached = false;
+
+    /** Coroutine frames come from the thread's pool. */
+    static void *
+    operator new(std::size_t size)
+    {
+        return BlockPool::allocate(size);
+    }
+
+    static void
+    operator delete(void *frame, std::size_t size) noexcept
+    {
+        BlockPool::deallocate(frame, size);
+    }
 
     std::suspend_always
     initial_suspend() noexcept

@@ -59,6 +59,8 @@ RetwisInstance::nextShape()
     }
 
     TxnShape shape;
+    shape.reads.reserve(gets);
+    shape.writes.reserve(puts);
     // Writes overlap reads where the counts allow (a Post Tweet reads
     // the user record and timeline it updates), so write-write and
     // read-write conflicts both occur under contention.

@@ -1,15 +1,22 @@
 /**
  * @file
  * Unit tests for the discrete-event simulation kernel: event ordering,
- * virtual time, coroutine tasks, futures, timeouts, and the
- * synchronization primitives.
+ * virtual time, coroutine tasks, futures, timeouts, the
+ * synchronization primitives, and the per-thread block pool that
+ * coroutine frames and future states are drawn from.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
+#include "../bench/sweep_runner.hh"
 #include "sim/future.hh"
+#include "sim/pool.hh"
 #include "sim/simulator.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
@@ -277,3 +284,170 @@ TEST(Quorum, AlreadySatisfiedDoesNotBlock)
     s.run();
     EXPECT_TRUE(ran);
 }
+
+// ------------------------------------------------------------ BlockPool
+
+namespace {
+
+using sim::detail::BlockPool;
+
+Task<std::uint64_t>
+poolLeaf(Simulator &s, std::uint64_t v)
+{
+    // A future state and a timer per leaf, resolved one microsecond on.
+    Promise<std::uint64_t> p(s);
+    s.schedule(kMicrosecond, [p, v]() mutable { p.set(v); });
+    co_return co_await p.future();
+}
+
+Task<std::uint64_t>
+poolMiddle(Simulator &s, std::uint64_t v)
+{
+    const std::uint64_t a = co_await poolLeaf(s, v);
+    const std::uint64_t b = co_await poolLeaf(s, v + 1);
+    co_return a + b;
+}
+
+/** Sum over i < rounds of (2i + 1), computed through nested tasks. */
+Task<void>
+poolChurn(Simulator &s, std::uint64_t rounds, std::uint64_t &sum)
+{
+    for (std::uint64_t i = 0; i < rounds; ++i)
+        sum += co_await poolMiddle(s, i);
+}
+
+std::uint64_t
+churnOnce(std::uint64_t tasks, std::uint64_t rounds)
+{
+    Simulator s;
+    std::uint64_t sum = 0;
+    for (std::uint64_t t = 0; t < tasks; ++t)
+        spawn(poolChurn(s, rounds, sum));
+    s.run();
+    return sum;
+}
+
+} // namespace
+
+TEST(BlockPool, WarmTasksDrawOnlyReusedBlocks)
+{
+    constexpr std::uint64_t kTasks = 16;
+    constexpr std::uint64_t kRounds = 200;
+    constexpr std::uint64_t kExpect = kTasks * kRounds * kRounds;
+    // Warm-up sizes every free list for this shape of work.
+    ASSERT_EQ(churnOnce(kTasks, kRounds), kExpect);
+
+    const BlockPool *pool = BlockPool::local();
+    ASSERT_NE(pool, nullptr);
+    const std::uint64_t fresh = pool->freshAllocations();
+    const std::uint64_t reused = pool->reusedAllocations();
+    ASSERT_EQ(churnOnce(kTasks, kRounds), kExpect);
+    EXPECT_EQ(pool->freshAllocations(), fresh);
+    // Per round: a middle frame, two leaf frames and two future
+    // states; plus one churn frame per task.
+    EXPECT_EQ(pool->reusedAllocations() - reused,
+              kTasks * (kRounds * 5 + 1));
+}
+
+TEST(BlockPool, OversizedFramePassesThroughToHeap)
+{
+    Simulator s;
+    std::uint64_t out = 0;
+    auto big = [](Simulator &sim, std::uint64_t *result) -> Task<void> {
+        // Live across the suspension, so the array is in the frame.
+        std::array<std::uint8_t, 2 * BlockPool::kMaxBlock> buf{};
+        for (std::size_t i = 0; i < buf.size(); ++i)
+            buf[i] = static_cast<std::uint8_t>(i);
+        co_await sleepFor(sim, kMicrosecond);
+        std::uint64_t total = 0;
+        for (const std::uint8_t b : buf)
+            total += b;
+        *result = total;
+    };
+    // Attach the pool before reading its counters.
+    const BlockPool *pool = BlockPool::local();
+    ASSERT_NE(pool, nullptr);
+    const std::uint64_t fresh = pool->freshAllocations();
+    const std::uint64_t reused = pool->reusedAllocations();
+    spawn(big(s, &out));
+    s.run();
+    // 2 * kMaxBlock bytes of 0..255 repeating.
+    EXPECT_EQ(out, 2 * BlockPool::kMaxBlock / 256 * (255 * 256 / 2));
+    EXPECT_EQ(pool->freshAllocations(), fresh);
+    EXPECT_EQ(pool->reusedAllocations(), reused);
+}
+
+TEST(BlockPool, FrameFreedAfterThreadExitGoesToHeap)
+{
+    // A thread_local constructed before the thread's pool is destroyed
+    // after it; the frame it still owns must bypass the dead pool.
+    static bool pool_gone_at_release = false;
+    struct LateOwner
+    {
+        Task<std::uint64_t> task;
+        ~LateOwner()
+        {
+            pool_gone_at_release = BlockPool::local() == nullptr;
+        }
+    };
+    std::thread worker([] {
+        thread_local LateOwner owner;
+        Simulator s;
+        owner.task = poolLeaf(s, 1); // never started
+    });
+    worker.join();
+    EXPECT_TRUE(pool_gone_at_release);
+}
+
+TEST(BlockPool, ConcurrentSweepThreadsStayCorrect)
+{
+    constexpr std::size_t kCells = 8;
+    constexpr std::uint64_t kTasks = 8;
+    constexpr std::uint64_t kRounds = 300;
+    std::vector<std::uint64_t> sums(kCells, 0);
+    bench::SweepRunner runner(2);
+    runner.run(kCells, [&](std::size_t i) {
+        sums[i] = churnOnce(kTasks, kRounds);
+    });
+    for (const std::uint64_t sum : sums)
+        EXPECT_EQ(sum, kTasks * kRounds * kRounds);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+
+namespace {
+
+/** Publishes the address of a local that lives in the frame. */
+Task<void>
+exposeFrameLocal(Simulator &s, volatile int **out)
+{
+    volatile int local = 7;
+    *out = &local;
+    co_await sleepFor(s, kMicrosecond);
+    local = local + 1;
+}
+
+} // namespace
+
+TEST(BlockPoolDeathTest, UseOfDestroyedFrameIsReported)
+{
+    // A detached task frees its frame when it completes; the block then
+    // sits poisoned on the free list, so touching it must still fail.
+    Simulator s;
+    volatile int *dangling = nullptr;
+    spawn(exposeFrameLocal(s, &dangling));
+    s.run();
+    ASSERT_NE(dangling, nullptr);
+    EXPECT_DEATH(*dangling = 1, "use-after-poison");
+}
+
+TEST(BlockPoolDeathTest, UseOfFreedBlockIsReported)
+{
+    // Same for any pooled block (future states are allocated this way).
+    void *block = BlockPool::allocate(64);
+    BlockPool::deallocate(block, 64);
+    EXPECT_DEATH(static_cast<volatile char *>(block)[8] = 1,
+                 "use-after-poison");
+}
+
+#endif // __SANITIZE_ADDRESS__
