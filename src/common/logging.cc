@@ -5,46 +5,6 @@
 
 namespace common {
 
-namespace {
-
-LogLevel g_level = LogLevel::Warn;
-
-const char *
-levelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Trace: return "TRACE";
-      case LogLevel::Debug: return "DEBUG";
-      case LogLevel::Info: return "INFO";
-      case LogLevel::Warn: return "WARN";
-      case LogLevel::Error: return "ERROR";
-      case LogLevel::Off: return "OFF";
-    }
-    return "?";
-}
-
-} // namespace
-
-void
-Logger::setLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-Logger::level()
-{
-    return g_level;
-}
-
-void
-Logger::log(LogLevel level, const std::string &msg)
-{
-    if (static_cast<int>(level) < static_cast<int>(g_level))
-        return;
-    std::fprintf(stderr, "[%s] %s\n", levelName(level), msg.c_str());
-}
-
 void
 Logger::panic(const std::string &msg)
 {

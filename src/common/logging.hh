@@ -1,16 +1,12 @@
 /**
  * @file
- * Minimal logging and error handling, modelled on gem5's
- * panic()/fatal()/warn() conventions:
+ * Minimal error handling, modelled on gem5's panic()/fatal()
+ * conventions:
  *
  *  - panic():  an internal invariant was violated — a bug in this
  *              library. Aborts (so tests and debuggers catch it).
  *  - fatal():  the user asked for something impossible (bad config).
  *              Exits with status 1.
- *  - warn()/inform(): advisory messages on stderr.
- *
- * Debug tracing is compiled in but off by default; enable per-run with
- * Logger::setLevel.
  */
 
 #ifndef COMMON_LOGGING_HH
@@ -21,44 +17,14 @@
 
 namespace common {
 
-enum class LogLevel
-{
-    Trace,
-    Debug,
-    Info,
-    Warn,
-    Error,
-    Off,
-};
-
 class Logger
 {
   public:
-    static void setLevel(LogLevel level);
-    static LogLevel level();
-
-    static void log(LogLevel level, const std::string &msg);
-
     [[noreturn]] static void panic(const std::string &msg);
     [[noreturn]] static void fatal(const std::string &msg);
 };
 
-/** Convenience stream-style helpers. */
-#define MILANA_LOG(level, expr)                                          \
-    do {                                                                 \
-        if (static_cast<int>(level) >=                                   \
-            static_cast<int>(::common::Logger::level())) {               \
-            std::ostringstream os_;                                      \
-            os_ << expr;                                                 \
-            ::common::Logger::log(level, os_.str());                     \
-        }                                                                \
-    } while (0)
-
-#define LOG_TRACE(expr) MILANA_LOG(::common::LogLevel::Trace, expr)
-#define LOG_DEBUG(expr) MILANA_LOG(::common::LogLevel::Debug, expr)
-#define LOG_INFO(expr) MILANA_LOG(::common::LogLevel::Info, expr)
-#define LOG_WARN(expr) MILANA_LOG(::common::LogLevel::Warn, expr)
-
+/** Stream-style helpers: PANIC("bad " << x). */
 #define PANIC(expr)                                                      \
     do {                                                                 \
         std::ostringstream os_;                                          \

@@ -54,6 +54,7 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 #include "common/types.hh"
@@ -75,10 +76,15 @@ mixKey(Key key)
     return static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ull;
 }
 
+constexpr std::size_t kMinTableCap = 16;
+
+/** Power-of-two slot count that keeps @p keys entries under the 7/8
+ *  max load. */
 inline std::size_t
-pow2AtLeast(std::size_t n)
+capacityFor(std::uint64_t keys)
 {
-    return std::bit_ceil(n < 2 ? std::size_t{2} : n);
+    const std::size_t want = static_cast<std::size_t>(keys + keys / 7 + 1);
+    return std::bit_ceil(want < kMinTableCap ? kMinTableCap : want);
 }
 
 } // namespace table_detail
@@ -106,7 +112,7 @@ class VersionStore
     explicit VersionStore(std::uint64_t expected_keys = 0)
     {
         if (expected_keys > 0)
-            rehash(capacityFor(expected_keys));
+            rehash(table_detail::capacityFor(expected_keys));
     }
 
     VersionStore(const VersionStore &) = delete;
@@ -204,7 +210,7 @@ class VersionStore
     void
     reserveKeys(std::uint64_t keys)
     {
-        const std::size_t want = capacityFor(keys);
+        const std::size_t want = table_detail::capacityFor(keys);
         if (want > cap_)
             rehash(want);
     }
@@ -395,7 +401,6 @@ class VersionStore
 
     /** capClass value marking "entry lives inline in the slot". */
     static constexpr std::uint16_t kInlineClass = 0xffff;
-    static constexpr std::size_t kMinTableCap = 16;
 
     struct Slot
     {
@@ -445,16 +450,6 @@ class VersionStore
     bucketOf(Key key) const
     {
         return table_detail::mixKey(key) >> shift_;
-    }
-
-    static std::size_t
-    capacityFor(std::uint64_t keys)
-    {
-        // Keep the live load under 7/8 after `keys` inserts.
-        const std::size_t want = static_cast<std::size_t>(
-            keys + keys / 7 + 1);
-        return table_detail::pow2AtLeast(
-            want < kMinTableCap ? kMinTableCap : want);
     }
 
     std::size_t
@@ -618,7 +613,7 @@ class VersionStore
     void
     grow()
     {
-        rehash(cap_ == 0 ? kMinTableCap : cap_ * 2);
+        rehash(cap_ == 0 ? table_detail::kMinTableCap : cap_ * 2);
     }
 
     void
@@ -663,72 +658,95 @@ class VersionStore
 };
 
 /**
- * Robin-hood set of Keys: the same table discipline without a
- * payload. Replaces `std::unordered_map<Key, bool>` membership maps
- * (e.g. MilanaServer's per-key ensure-loaded latch) with 16-byte
- * slots and zero steady-state allocations.
+ * Robin-hood map from Key to a small trivially copyable payload: the
+ * VersionStore table discipline (Fibonacci hash, linear probing with
+ * robin-hood displacement, 7/8 max load) with the payload inline in
+ * the slot and no erase. A new key's payload starts value-initialized
+ * (all-zero slots are empty slots). Holds a SEMEL primary's per-key
+ * records (semel::KeyRecord) with zero steady-state allocations.
  */
-class KeySet
+template <typename V>
+class KeyMap
 {
-  public:
-    explicit KeySet(std::uint64_t expected = 0)
+    static_assert(std::is_trivially_copyable_v<V>);
+
+    struct Slot
     {
-        if (expected > 0)
-            rehash(capacityFor(expected));
-    }
+        Key key;
+        std::uint32_t dist; // probe distance + 1; 0 = empty
+        V value;
+    };
 
-    KeySet(const KeySet &) = delete;
-    KeySet &operator=(const KeySet &) = delete;
+  public:
+    /** Bytes per table slot (key, probe distance, payload). */
+    static constexpr std::size_t kSlotBytes = sizeof(Slot);
 
-    ~KeySet() { ::operator delete(slots_); }
+    KeyMap() = default;
+    KeyMap(const KeyMap &) = delete;
+    KeyMap &operator=(const KeyMap &) = delete;
 
-    bool
-    contains(Key key) const
+    ~KeyMap() { ::operator delete(slots_); }
+
+    /** Payload of @p key, or nullptr when absent. */
+    V *
+    find(Key key)
     {
         if (cap_ == 0)
-            return false;
-        std::size_t i = bucketOf(key);
-        std::uint32_t dist = 1;
-        for (;;) {
-            const Slot &s = slots_[i];
-            if (s.dist < dist)
-                return false;
-            if (s.key == key)
-                return true;
-            i = (i + 1) & mask_;
-            ++dist;
-        }
-    }
-
-    /** Add a key; returns false when it was already present. */
-    bool
-    insert(Key key)
-    {
-        if ((size_ + 1) * 8 > cap_ * 7)
-            grow();
+            return nullptr;
         std::size_t i = bucketOf(key);
         std::uint32_t dist = 1;
         for (;;) {
             Slot &s = slots_[i];
-            if (s.dist == 0) {
-                s.key = key;
-                s.dist = dist;
-                ++size_;
-                return true;
-            }
+            if (s.dist < dist) // includes empty (dist == 0)
+                return nullptr;
             if (s.key == key)
-                return false;
-            if (s.dist < dist) {
-                // Displace the richer resident and keep probing on
-                // its behalf.
-                std::swap(s.key, key);
-                std::swap(s.dist, dist);
-            }
+                return &s.value;
             i = (i + 1) & mask_;
             ++dist;
         }
     }
 
+    const V *
+    find(Key key) const
+    {
+        return const_cast<KeyMap *>(this)->find(key);
+    }
+
+    /**
+     * Payload of @p key, inserting a value-initialized one when
+     * absent. A call may grow the table or displace other keys, so
+     * it invalidates pointers and references from earlier calls.
+     */
+    V &
+    operator[](Key key)
+    {
+        if ((size_ + 1) * 8 > cap_ * 7)
+            rehash(cap_ == 0 ? table_detail::kMinTableCap : cap_ * 2);
+        std::size_t i = bucketOf(key);
+        Slot carry{key, 1, V{}};
+        V *placed = nullptr;
+        for (;;) {
+            Slot &s = slots_[i];
+            if (s.dist == 0) {
+                s = carry;
+                ++size_;
+                return placed != nullptr ? *placed : s.value;
+            }
+            if (s.key == key)
+                return s.value;
+            if (s.dist < carry.dist) {
+                // Robin hood: take the richer resident's slot and
+                // carry it on down the run.
+                std::swap(s, carry);
+                if (placed == nullptr)
+                    placed = &s.value;
+            }
+            i = (i + 1) & mask_;
+            ++carry.dist;
+        }
+    }
+
+    /** Drop every entry; capacity is retained. */
     void
     clear()
     {
@@ -742,48 +760,18 @@ class KeySet
     void
     reserve(std::uint64_t keys)
     {
-        const std::size_t want = capacityFor(keys);
+        const std::size_t want = table_detail::capacityFor(keys);
         if (want > cap_)
             rehash(want);
     }
 
     std::size_t size() const { return size_; }
 
-    std::uint64_t
-    memoryBytes() const
-    {
-        return static_cast<std::uint64_t>(cap_) * sizeof(Slot);
-    }
-
   private:
-    static constexpr std::size_t kMinTableCap = 16;
-
-    struct Slot
-    {
-        Key key;
-        std::uint32_t dist; // probe distance + 1; 0 = empty
-        std::uint32_t pad_ = 0;
-    };
-
     std::size_t
     bucketOf(Key key) const
     {
         return table_detail::mixKey(key) >> shift_;
-    }
-
-    static std::size_t
-    capacityFor(std::uint64_t keys)
-    {
-        const std::size_t want =
-            static_cast<std::size_t>(keys + keys / 7 + 1);
-        return table_detail::pow2AtLeast(
-            want < kMinTableCap ? kMinTableCap : want);
-    }
-
-    void
-    grow()
-    {
-        rehash(cap_ == 0 ? kMinTableCap : cap_ * 2);
     }
 
     void
@@ -802,7 +790,7 @@ class KeySet
         size_ = 0;
         for (std::size_t i = 0; i < old_cap; ++i) {
             if (old[i].dist != 0)
-                insert(old[i].key);
+                (*this)[old[i].key] = old[i].value;
         }
         ::operator delete(old);
     }

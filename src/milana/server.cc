@@ -28,12 +28,41 @@ MilanaServer::MilanaServer(sim::Simulator &sim, net::Network &net,
 {
 }
 
+bool
+MilanaServer::isPrimary() const
+{
+    return master_.primaryOf(shard_) == id_;
+}
+
+void
+MilanaServer::setBackups(std::vector<semel::Server *> backups)
+{
+    milanaBackups_.clear();
+    for (semel::Server *backup : backups) {
+        auto *mb = dynamic_cast<MilanaServer *>(backup);
+        if (mb == nullptr)
+            PANIC("milana primary wired to a non-milana backup");
+        milanaBackups_.push_back(mb);
+    }
+    semel::Server::setBackups(std::move(backups));
+}
+
+std::uint32_t
+MilanaServer::backupQuorum() const
+{
+    return std::min<std::uint32_t>(
+        config_.backupAcksNeeded,
+        static_cast<std::uint32_t>(milanaBackups_.size()));
+}
+
 void
 MilanaServer::reserveKeys(std::uint64_t keys)
 {
-    semel::Server::reserveKeys(keys);
-    keyStateReady_.reserve(keys);
-    keys_.reserve(keys);
+    // Records live on the shard's primary only.
+    if (isPrimary())
+        semel::Server::reserveKeys(keys);
+    else
+        backend_.reserveKeys(keys);
 }
 
 void
@@ -49,25 +78,27 @@ sim::Task<void>
 MilanaServer::loadKey(Key key, Value value, Version version)
 {
     (void)co_await backend_.put(key, value, version);
-    noteCommitted(key, version);
-    auto &ks = keys_.state(key);
-    ks.latestCommitted = std::max(ks.latestCommitted, version);
-    keyStateReady_.insert(key);
+    if (!isPrimary())
+        co_return;
+    KeyRecord &rec = records_[key];
+    rec.noteCommitted(version);
+    rec.markRebuilt();
 }
 
 sim::Task<void>
 MilanaServer::ensureKeyState(Key key)
 {
-    if (keyStateReady_.contains(key))
+    if (const KeyRecord *rec = records_.find(key);
+        rec != nullptr && rec->rebuilt())
         co_return;
     // Rebuild ts_latestCommitted from the version stamps in storage
     // (section 4.5); ts_latestRead is unrecoverable — the lease wait
     // already covered it.
     const ftl::GetResult latest = co_await backend_.getLatest(key);
-    auto &ks = keys_.state(key);
+    KeyRecord &rec = records_[key];
     if (latest.found)
-        ks.latestCommitted = std::max(ks.latestCommitted, latest.version);
-    keyStateReady_.insert(key);
+        rec.noteCommitted(latest.version);
+    rec.markRebuilt();
 }
 
 // ------------------------------------------------------------- reads
@@ -99,16 +130,19 @@ MilanaServer::handleGet(GetRequest request)
             co_await sim::sleepFor(sim_, kMillisecond);
     }
 
-    co_await ensureKeyState(request.key);
-
-    // Synchronous with the flag computation and the backend's chain
-    // lookup: record the read and capture the prepared flag BEFORE the
-    // storage access, so no prepare with stamp <= at can slip between
-    // the snapshot and the flag (see section 4.3's argument).
-    auto &ks = keys_.state(request.key);
-    ks.latestRead = std::max(ks.latestRead, request.at);
-    const bool prepared_leq =
-        ks.prepared.has_value() && *ks.prepared <= request.at;
+    // A backup serving a replica read (section 4.6) keeps no per-key
+    // state: the transaction validates at the primary.
+    bool prepared_leq = false;
+    if (isPrimary()) {
+        co_await ensureKeyState(request.key);
+        // Synchronous with the flag computation and the backend's
+        // chain lookup: record the read and capture the prepared flag
+        // BEFORE the storage access, so no prepare with stamp <= at
+        // can slip between the snapshot and the flag (section 4.3).
+        KeyRecord &rec = records_[request.key];
+        rec.noteRead(request.at);
+        prepared_leq = rec.isPrepared() && rec.prepared() <= request.at;
+    }
 
     const ftl::GetResult r =
         co_await backend_.get(request.key, request.at);
@@ -127,28 +161,28 @@ MilanaServer::validate(const PrepareRequest &request)
     using semel::AbortReason;
     // Algorithm 1, verbatim.
     for (const auto &read : request.readSet) {
-        const auto &ks = keys_.state(read.key);
-        if (ks.prepared.has_value()) {
+        const KeyRecord &rec = records_[read.key];
+        if (rec.isPrepared()) {
             stats_.counter("milana.abort_read_prepared").inc();
             return AbortReason::ReadPrepared;
         }
-        if (ks.latestCommitted != read.observed) {
+        if (rec.committed() != read.observed) {
             stats_.counter("milana.abort_read_stale").inc();
             return AbortReason::ReadStale;
         }
     }
     const Version new_version = request.commitVersion;
     for (const auto &write : request.writeSet) {
-        const auto &ks = keys_.state(write.key);
-        if (ks.prepared.has_value()) {
+        const KeyRecord &rec = records_[write.key];
+        if (rec.isPrepared()) {
             stats_.counter("milana.abort_write_prepared").inc();
             return AbortReason::WritePrepared;
         }
-        if (ks.latestRead >= new_version) {
+        if (rec.latestRead() >= new_version) {
             stats_.counter("milana.abort_write_read_conflict").inc();
             return AbortReason::WriteReadConflict;
         }
-        if (ks.latestCommitted >= new_version) {
+        if (rec.committed() >= new_version) {
             stats_.counter("milana.abort_write_stale").inc();
             return AbortReason::WriteStale;
         }
@@ -220,9 +254,9 @@ MilanaServer::handlePrepare(PrepareRequest request)
         // replicates — validate and vote.
         resp.vote = Vote::Commit;
         for (const auto &read : request.readSet) {
-            const auto &ks = keys_.state(read.key);
-            if (ks.prepared.has_value() &&
-                *ks.prepared <= request.beginVersion) {
+            const KeyRecord &rec = records_[read.key];
+            if (rec.isPrepared() &&
+                rec.prepared() <= request.beginVersion) {
                 resp.vote = Vote::Abort;
                 resp.reason = semel::AbortReason::ReadPrepared;
                 break;
@@ -231,7 +265,7 @@ MilanaServer::handlePrepare(PrepareRequest request)
                 backend_.versionAt(read.key, request.beginVersion);
             const Version expect = snapshot.has_value()
                                        ? *snapshot
-                                       : ks.latestCommitted;
+                                       : rec.committed();
             if (expect != read.observed) {
                 resp.vote = Vote::Abort;
                 resp.reason =
@@ -268,20 +302,12 @@ MilanaServer::handlePrepare(PrepareRequest request)
 
     // Mark the write set prepared — synchronously with validation, so
     // no concurrent prepare can interleave.
-    for (const auto &write : request.writeSet) {
-        auto &ks = keys_.state(write.key);
-        ks.prepared = request.commitVersion;
-        ks.preparedBy = request.txn;
-    }
+    for (const auto &write : request.writeSet)
+        records_[write.key].prepare(request.commitVersion, request.txn);
 
-    TxnEntry entry;
-    entry.txn = request.txn;
-    entry.commitVersion = request.commitVersion;
-    entry.writeSet = request.writeSet;
-    entry.participants = request.participants;
-    entry.status = semel::TxnStatus::Prepared;
-    entry.preparedAt = sim_.now();
-    txns_.insert(std::move(entry));
+    txns_.insert(TxnEntry{request.txn, request.commitVersion,
+                          request.writeSet, request.participants,
+                          semel::TxnStatus::Prepared, sim_.now()});
 
     // Persist the prepare on a majority before voting: replicate the
     // record (with the write set and shard list) and wait for f acks.
@@ -315,11 +341,9 @@ MilanaServer::applyCommit(const ReplicateTxnRecord &record, bool late)
                       std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
             (void)co_await self->backend_.put(key, std::move(value),
                                               version);
-            auto &ks = self->keys_.state(key);
-            ks.latestCommitted = std::max(ks.latestCommitted, version);
-            if (ks.prepared.has_value() && ks.preparedBy == txn)
-                ks.prepared.reset();
-            self->noteCommitted(key, version);
+            KeyRecord &rec = self->records_[key];
+            rec.noteCommitted(version);
+            rec.release(txn);
             // Per-key commit record: feeds the invariant monitor's
             // commit-timestamp monotonicity check. Tag "late" when the
             // decision was a CTP / recovery re-application, which can
@@ -340,11 +364,8 @@ MilanaServer::applyCommit(const ReplicateTxnRecord &record, bool late)
 void
 MilanaServer::applyAbort(TxnEntry &entry)
 {
-    for (const auto &write : entry.writeSet) {
-        auto &ks = keys_.state(write.key);
-        if (ks.prepared.has_value() && ks.preparedBy == entry.txn)
-            ks.prepared.reset();
-    }
+    for (const auto &write : entry.writeSet)
+        records_[write.key].release(entry.txn);
     stats_.counter("milana.aborted").inc();
 }
 
@@ -407,7 +428,7 @@ MilanaServer::replicateTxnRecord(ReplicateTxnRecord record,
                                  bool wait_quorum)
 {
     // Our own durable log entry first (the primary is a replica too).
-    if (backups_.empty()) {
+    if (milanaBackups_.empty()) {
         txnLog_.push_back(std::move(record));
         co_return;
     }
@@ -421,18 +442,12 @@ MilanaServer::replicateTxnRecord(ReplicateTxnRecord record,
     common::ScopedSpan span(trace_, "milana.repl.txn_record", kind);
     const Time started = sim_.now();
 
-    const auto needed = std::min<std::uint32_t>(
-        config_.backupAcksNeeded,
-        static_cast<std::uint32_t>(backups_.size()));
-    auto quorum = std::make_shared<sim::Quorum>(sim_, needed);
-    for (std::size_t i = 0; i < backups_.size(); ++i) {
-        auto *mb = dynamic_cast<MilanaServer *>(backups_[i]);
-        if (mb == nullptr)
-            PANIC("milana primary wired to a non-milana backup");
+    auto quorum = std::make_shared<sim::Quorum>(sim_, backupQuorum());
+    for (std::size_t i = 0; i < milanaBackups_.size(); ++i) {
         // Each backup's handler owns its record: copy for all but the
         // last backup, which takes ours.
         ReplicateTxnRecord sent =
-            i + 1 < backups_.size() ? record : std::move(record);
+            i + 1 < milanaBackups_.size() ? record : std::move(record);
         sim::spawn([](MilanaServer *self, MilanaServer *backup,
                       ReplicateTxnRecord rec,
                       std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
@@ -441,7 +456,7 @@ MilanaServer::replicateTxnRecord(ReplicateTxnRecord record,
                 backup->handleReplicateTxnRecord(std::move(rec)));
             if (ok.has_value() && *ok)
                 q->arrive();
-        }(this, mb, std::move(sent), quorum));
+        }(this, milanaBackups_[i], std::move(sent), quorum));
     }
     if (wait_quorum) {
         co_await quorum->wait();
@@ -458,21 +473,17 @@ MilanaServer::handleBarrier()
 sim::Task<void>
 MilanaServer::barrierBackups()
 {
-    if (backups_.empty())
+    if (milanaBackups_.empty())
         co_return;
-    const auto needed = std::min<std::uint32_t>(
-        config_.backupAcksNeeded,
-        static_cast<std::uint32_t>(backups_.size()));
-    auto quorum = std::make_shared<sim::Quorum>(sim_, needed);
-    for (semel::Server *backup : backups_) {
-        auto *mb = dynamic_cast<MilanaServer *>(backup);
+    auto quorum = std::make_shared<sim::Quorum>(sim_, backupQuorum());
+    for (MilanaServer *backup : milanaBackups_) {
         sim::spawn([](MilanaServer *self, MilanaServer *backup,
                       std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
             auto ok = co_await self->net_.callTyped<bool>(
                 self->id_, backup->nodeId(), backup->handleBarrier());
             if (ok.has_value())
                 q->arrive();
-        }(this, mb, quorum));
+        }(this, backup, quorum));
     }
     co_await quorum->wait();
 }
@@ -487,16 +498,10 @@ MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record)
     // observable, and the log can take the record instead of a copy.
     switch (record.kind) {
       case TxnRecordKind::Prepared: {
-        if (txns_.statusOf(record.txn) == semel::TxnStatus::Unknown) {
-            TxnEntry entry;
-            entry.txn = record.txn;
-            entry.commitVersion = record.commitVersion;
-            entry.writeSet = record.writeSet;
-            entry.participants = record.participants;
-            entry.status = semel::TxnStatus::Prepared;
-            entry.preparedAt = sim_.now();
-            txns_.insert(std::move(entry));
-        }
+        if (txns_.statusOf(record.txn) == semel::TxnStatus::Unknown)
+            txns_.insert(TxnEntry{record.txn, record.commitVersion,
+                                  record.writeSet, record.participants,
+                                  semel::TxnStatus::Prepared, sim_.now()});
         break;
       }
       case TxnRecordKind::Committed: {
@@ -508,7 +513,6 @@ MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record)
                           Version version) -> sim::Task<void> {
                 (void)co_await self->backend_.put(key, std::move(value),
                                                   version);
-                self->noteCommitted(key, version);
             }(this, write.key, write.value, record.commitVersion));
         }
         break;
@@ -534,16 +538,13 @@ sim::Task<bool>
 MilanaServer::renewLease()
 {
     const Time until = clock_.localNow() + mcfg_.leaseDuration;
-    const auto needed = std::min<std::uint32_t>(
-        config_.backupAcksNeeded,
-        static_cast<std::uint32_t>(backups_.size()));
+    const std::uint32_t needed = backupQuorum();
     if (needed == 0) {
         leaseUntil_ = until;
         co_return true;
     }
     auto quorum = std::make_shared<sim::Quorum>(sim_, needed);
-    for (semel::Server *backup : backups_) {
-        auto *mb = dynamic_cast<MilanaServer *>(backup);
+    for (MilanaServer *backup : milanaBackups_) {
         sim::spawn([](MilanaServer *self, MilanaServer *backup,
                       Time until,
                       std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
@@ -552,7 +553,7 @@ MilanaServer::renewLease()
                 backup->handleLeaseGrant(until));
             if (ok.has_value())
                 q->arrive();
-        }(this, mb, until, quorum));
+        }(this, backup, until, quorum));
     }
     // Bounded wait: with a majority of backups down, renewal fails.
     sim::Promise<bool> done(sim_);
@@ -721,8 +722,7 @@ MilanaServer::recoverAsPrimary()
             outcomes.emplace(rec.txn, rec);
     }
 
-    keys_.clear();
-    keyStateReady_.clear();
+    records_.clear();
 
     for (const auto &[txn, rec] : outcomes) {
         if (rec.kind == TxnRecordKind::Committed) {
@@ -730,7 +730,6 @@ MilanaServer::recoverAsPrimary()
             for (const auto &write : rec.writeSet) {
                 (void)co_await backend_.put(write.key, write.value,
                                             rec.commitVersion);
-                noteCommitted(write.key, rec.commitVersion);
             }
             txns_.resolve(txn, semel::TxnStatus::Committed);
         } else {
@@ -743,14 +742,9 @@ MilanaServer::recoverAsPrimary()
             continue; // already decided above
         if (txns_.statusOf(txn) != semel::TxnStatus::Unknown)
             continue;
-        TxnEntry entry;
-        entry.txn = txn;
-        entry.commitVersion = rec.commitVersion;
-        entry.writeSet = rec.writeSet;
-        entry.participants = rec.participants;
-        entry.status = semel::TxnStatus::Prepared;
-        entry.preparedAt = sim_.now();
-        txns_.insert(entry);
+        txns_.insert(TxnEntry{txn, rec.commitVersion, rec.writeSet,
+                              rec.participants, semel::TxnStatus::Prepared,
+                              sim_.now()});
 
         if (rec.participants.size() <= 1) {
             // Single-shard prepared == committed (Algorithm 2).
@@ -764,11 +758,8 @@ MilanaServer::recoverAsPrimary()
             // other participants once service resumes. Re-instate the
             // prepared marks so conflicting transactions abort until
             // then.
-            for (const auto &write : rec.writeSet) {
-                auto &ks = keys_.state(write.key);
-                ks.prepared = rec.commitVersion;
-                ks.preparedBy = txn;
-            }
+            for (const auto &write : rec.writeSet)
+                records_[write.key].prepare(rec.commitVersion, txn);
         }
     }
 

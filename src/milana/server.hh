@@ -19,10 +19,14 @@
  *  - maintain read leases so ts_latestRead (which is never persisted)
  *    cannot be violated across a failover.
  *
- * At a backup the server logs replicated transaction records and
- * applies committed write sets; a promoted backup rebuilds the
- * transaction table by merging the logs of a majority of replicas
- * (Algorithm 2) and waits out the old primary's lease before serving.
+ * The per-key OCC state (ts_latestRead, ts_prepared and
+ * ts_latestCommitted) is one semel::KeyRecord per key, held on the
+ * shard's primary only. At a backup the server logs replicated
+ * transaction records and applies committed write sets, keeping no
+ * per-key state; a promoted backup rebuilds the transaction table by
+ * merging the logs of a majority of replicas (Algorithm 2), rebuilds
+ * each key's record from storage on first touch, and waits out the old
+ * primary's lease before serving.
  */
 
 #ifndef MILANA_SERVER_HH
@@ -31,7 +35,6 @@
 #include <vector>
 
 #include "clocksync/clock.hh"
-#include "ftl/mapping_table.hh"
 #include "milana/txn_table.hh"
 #include "semel/client.hh"
 #include "semel/server.hh"
@@ -48,6 +51,7 @@ using semel::DecisionRequest;
 using semel::DecisionResponse;
 using semel::GetRequest;
 using semel::GetResponse;
+using semel::KeyRecord;
 using semel::PrepareRequest;
 using semel::PrepareResponse;
 using semel::ReplicateTxnRecord;
@@ -82,14 +86,19 @@ class MilanaServer : public semel::Server
     /** Start background processes (lease renewal, CTP scanner). */
     void start();
 
+    /** Wire the backups, checking once that each is a MILANA server. */
+    void setBackups(std::vector<semel::Server *> backups) override;
+
+    /** Reserves the record table only on the shard's primary. */
     void reserveKeys(std::uint64_t keys) override;
 
     // -------------------------------------------------- RPC handlers
 
     /**
      * Snapshot read at request.at (= the transaction's ts_begin).
-     * Updates ts_latestRead and reports whether a prepared version
-     * with stamp <= at exists (local-validation input).
+     * At the primary, updates ts_latestRead and reports whether a
+     * prepared version with stamp <= at exists (local-validation
+     * input); a backup serves the replica read only (section 4.6).
      */
     sim::Task<GetResponse> handleGet(GetRequest request) override;
 
@@ -132,13 +141,13 @@ class MilanaServer : public semel::Server
 
     // ---------------------------------------------------- population
 
-    /** Bulk-load one key (initial population, no protocol overhead). */
+    /** Bulk-load one key (initial population, no protocol overhead);
+     *  only the shard's primary records it. */
     sim::Task<void> loadKey(Key key, Value value, Version version);
 
     // ---------------------------------------------------- inspection
 
     const TxnTable &txnTable() const { return txns_; }
-    KeyStateTable &keyStates() { return keys_; }
     bool recovering() const { return recovering_; }
     Time leaseUntil() const { return leaseUntil_; }
 
@@ -152,13 +161,20 @@ class MilanaServer : public semel::Server
      *  clock fault is active (no-op without a chaos engine). */
     semel::AbortReason classifyAbort(semel::AbortReason reason);
 
-    /** Algorithm 1. Assumes key states are initialized. Returns
+    /** Whether the master currently names this node the primary. */
+    bool isPrimary() const;
+
+    /** Backup acks a record or lease waits for: f, capped at the
+     *  number of wired backups. */
+    std::uint32_t backupQuorum() const;
+
+    /** Algorithm 1. Assumes the keys' records are rebuilt. Returns
      *  AbortReason::None on a commit vote, else the failed check. */
     semel::AbortReason validate(const PrepareRequest &request);
 
-    /** Initialize a key's DRAM state from storage if unseen (needed
-     *  after failover, when ts_latestCommitted must be rebuilt from
-     *  the version stamps). */
+    /** Rebuild a key's record from storage unless already rebuilt
+     *  (needed after failover, when ts_latestCommitted must be
+     *  recovered from the version stamps). */
     sim::Task<void> ensureKeyState(Key key);
 
     /** Apply a committed record's writes; @p record must stay alive
@@ -189,9 +205,8 @@ class MilanaServer : public semel::Server
     semel::Directory &directory_;
 
     TxnTable txns_;
-    KeyStateTable keys_;
-    /** Keys whose DRAM state is initialized. */
-    ftl::KeySet keyStateReady_;
+    /** backups_, cast once when wired. */
+    std::vector<MilanaServer *> milanaBackups_;
 
     /** Backup-side log of replicated transaction records. */
     std::vector<ReplicateTxnRecord> txnLog_;

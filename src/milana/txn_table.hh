@@ -1,27 +1,27 @@
 /**
  * @file
- * The MILANA primary's transaction table and per-key concurrency-
- * control state (paper section 4.1).
+ * The MILANA primary's transaction table (paper section 4.1).
  *
  * The transaction table records transactions that have prepared but
  * whose outcome has not yet been applied; it is replicated to the
  * backups as it changes and rebuilt by a new primary on failover
  * (Algorithm 2).
  *
- * Per active key the primary keeps, in DRAM only:
+ * The per-key state lives in one record per key on the shard's
+ * primary only, in DRAM (semel::KeyRecord, semel/server.hh):
  *   - ts_latestRead:      newest begin-timestamp that read the key;
  *   - ts_prepared:        the (single) prepared-but-undecided write;
- *   - ts_latestCommitted: newest committed write stamp.
- * ts_latestRead is not recoverable after failover; leases make that
- * safe (section 4.5).
+ *   - ts_latestCommitted: newest committed write stamp, shared with
+ *                         SEMEL's at-most-once check.
+ * A new primary rebuilds ts_latestCommitted from storage on first
+ * touch; ts_latestRead is not recoverable, and leases make that safe
+ * (section 4.5).
  */
 
 #ifndef MILANA_TXN_TABLE_HH
 #define MILANA_TXN_TABLE_HH
 
 #include <map>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -69,46 +69,11 @@ class TxnTable
 
     std::size_t size() const { return entries_.size(); }
 
-    const std::map<TxnId, TxnEntry> &entries() const { return entries_; }
-
   private:
     std::map<TxnId, TxnEntry> entries_;
     /** Outcomes of resolved transactions (for idempotent decisions
      *  and CTP queries). */
     std::map<TxnId, TxnStatus> outcomes_;
-};
-
-/** Per-key OCC state (DRAM only). */
-struct KeyState
-{
-    Version latestRead;
-    Version latestCommitted;
-    /** The prepared-but-undecided write, if any. */
-    std::optional<Version> prepared;
-    /** Owner of the prepared mark. */
-    TxnId preparedBy;
-};
-
-class KeyStateTable
-{
-  public:
-    /** State for a key, creating a default entry on first touch. */
-    KeyState &state(Key key) { return states_[key]; }
-
-    const KeyState *
-    find(Key key) const
-    {
-        auto it = states_.find(key);
-        return it == states_.end() ? nullptr : &it->second;
-    }
-
-    void clear() { states_.clear(); }
-
-    /** Pre-size for a bulk load of @p keys keys (zero rehashes). */
-    void reserve(std::size_t keys) { states_.reserve(keys); }
-
-  private:
-    std::unordered_map<Key, KeyState> states_;
 };
 
 } // namespace milana

@@ -43,21 +43,14 @@ void
 Server::reserveKeys(std::uint64_t keys)
 {
     backend_.reserveKeys(keys);
-    latestWritten_.reserve(keys);
+    records_.reserve(keys);
 }
 
 Version
 Server::latestCommitted(Key key) const
 {
-    auto it = latestWritten_.find(key);
-    return it == latestWritten_.end() ? Version::zero() : it->second;
-}
-
-void
-Server::noteCommitted(Key key, Version version)
-{
-    auto &latest = latestWritten_[key];
-    latest = std::max(latest, version);
+    const KeyRecord *rec = records_.find(key);
+    return rec == nullptr ? Version::zero() : rec->committed();
 }
 
 sim::Task<GetResponse>
@@ -150,7 +143,7 @@ Server::handlePut(PutRequest request)
     }
     co_await replication->wait();
 
-    noteCommitted(request.key, request.version);
+    records_[request.key].noteCommitted(request.version);
     resp.result = PutResult::Ok;
     // "ok" after the replication quorum: the invariant monitor checks
     // the semel.repl.write span ended before this ack.
@@ -170,16 +163,16 @@ Server::handleDelete(Key key, Version version)
     }
     // Propagate the delete to backups as a tombstone write.
     for (Server *backup : backups_) {
-        Server *self = this;
-        net_.send(id_, backup->nodeId(), [backup, key, version] {
+        net_.send(id_, backup->nodeId(), [backup, key] {
             sim::spawn([](Server *b, Key k) -> sim::Task<void> {
                 co_await b->backend().erase(k);
             }(backup, key));
         });
-        (void)self;
     }
     co_await backend_.erase(key);
-    latestWritten_.erase(key);
+    // Keep the delete's stamp: a delayed put stamped before the delete
+    // must still fail the at-most-once check, not revive the key.
+    records_[key].noteCommitted(version);
     resp.result = PutResult::Ok;
     co_return resp;
 }
@@ -193,7 +186,7 @@ Server::handleReplicateWrite(ReplicateWrite msg)
     // newest. Either way the acknowledgement is safe — ordering is
     // reconstructed from the stamps.
     (void)co_await backend_.put(msg.key, msg.value, msg.version);
-    noteCommitted(msg.key, msg.version);
+    records_[msg.key].noteCommitted(msg.version);
     co_return true;
 }
 

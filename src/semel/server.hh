@@ -16,6 +16,11 @@
  * (at-most-once), repeats its earlier response for exact duplicates
  * (idempotence), and serves reads from the named snapshot version.
  *
+ * Per-key DRAM state is one KeyRecord per key in one robin-hood table
+ * (ftl::KeyMap): SEMEL's newest committed stamp plus the MILANA
+ * primary's OCC state (section 4.1). A MILANA server keeps records on
+ * the shard's primary only; a SEMEL backup notes the stamps it applies.
+ *
  * Watermarks (section 3.1): clients periodically report the timestamp
  * of their last acknowledged operation; once every expected client has
  * reported, the minimum becomes the GC watermark handed to the
@@ -27,12 +32,12 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "ftl/kv_backend.hh"
+#include "ftl/mapping_table.hh"
 #include "net/network.hh"
 #include "semel/messages.hh"
 #include "sim/sync.hh"
@@ -41,6 +46,75 @@
 namespace semel {
 
 using common::NodeId;
+
+/**
+ * One key's protocol state: SEMEL's newest committed stamp (which is
+ * also MILANA's ts_latestCommitted), and on a MILANA primary
+ * ts_latestRead, the prepared-but-undecided write (zero = none) with
+ * its owner, and whether the state was rebuilt from storage.
+ * Timestamps and client ids are stored apart, so the record has no
+ * padding; the rebuilt flag shares a packed word with the owner's
+ * serial, as STO packs lock bits into its TID word.
+ */
+class KeyRecord
+{
+  public:
+    Version committed() const { return stamp(kCommitted); }
+    Version latestRead() const { return stamp(kRead); }
+    Version prepared() const { return stamp(kPrepared); }
+    bool isPrepared() const { return !prepared().isZero(); }
+    bool rebuilt() const { return (ownerWord_ & 1) != 0; }
+
+    /** Advance the committed stamp / ts_latestRead to @p v if newer. */
+    void noteCommitted(Version v) { raise(kCommitted, v); }
+    void noteRead(Version v) { raise(kRead, v); }
+    void markRebuilt() { ownerWord_ |= 1; }
+
+    /** Mark @p v prepared by @p owner. */
+    void
+    prepare(Version v, TxnId owner)
+    {
+        set(kPrepared, v);
+        ownerClient_ = owner.client;
+        ownerWord_ = (owner.serial << 1) | (ownerWord_ & 1);
+    }
+
+    /** Clear the prepared mark if @p owner holds it. */
+    void
+    release(TxnId owner)
+    {
+        if (ownerClient_ == owner.client && ownerWord_ >> 1 == owner.serial)
+            set(kPrepared, Version::zero());
+    }
+
+  private:
+    enum Stamp { kCommitted, kRead, kPrepared };
+
+    Version stamp(Stamp i) const { return {ts_[i], client_[i]}; }
+
+    void
+    set(Stamp i, Version v)
+    {
+        ts_[i] = v.timestamp;
+        client_[i] = v.clientId;
+    }
+
+    void
+    raise(Stamp i, Version v)
+    {
+        if (stamp(i) < v)
+            set(i, v);
+    }
+
+    Time ts_[3] = {};             ///< indexed by Stamp
+    std::uint64_t ownerWord_ = 0; ///< owner serial << 1 | rebuilt bit
+    ClientId client_[3] = {};
+    ClientId ownerClient_ = 0;
+};
+
+using KeyRecords = ftl::KeyMap<KeyRecord>;
+static_assert(KeyRecords::kSlotBytes <= 64,
+              "a key's record must fit one cache line");
 
 class Server
 {
@@ -70,11 +144,10 @@ class Server
     ftl::KvBackend &backend() { return backend_; }
 
     /** Wire the backup replicas this server replicates to (primary). */
-    void setBackups(std::vector<Server *> backups);
-    const std::vector<Server *> &backups() const { return backups_; }
+    virtual void setBackups(std::vector<Server *> backups);
 
     /**
-     * Pre-size the per-key DRAM state and the backend's mapping table
+     * Pre-size the per-key records and the backend's mapping table
      * for a bulk load of @p keys distinct keys, so populate performs
      * zero rehashes.
      */
@@ -102,6 +175,9 @@ class Server
     /** Latest committed version stamp of a key (zero if none). */
     Version latestCommitted(Key key) const;
 
+    /** The per-key records (one per key this server tracks). */
+    const KeyRecords &records() const { return records_; }
+
     Time watermark() const { return watermark_; }
 
     common::StatSet &stats() { return stats_; }
@@ -119,9 +195,6 @@ class Server
      */
     sim::Task<bool> replicateToBackups(ReplicateWrite msg);
 
-    /** Record a key's newest committed stamp. */
-    void noteCommitted(Key key, Version version);
-
     sim::Simulator &sim_;
     net::Network &net_;
     NodeId id_;
@@ -130,8 +203,8 @@ class Server
     Config config_;
     std::vector<Server *> backups_;
 
-    /** DRAM: newest committed stamp per key (at-most-once checks). */
-    std::unordered_map<Key, Version> latestWritten_;
+    /** DRAM: one record per key (see KeyRecord). */
+    KeyRecords records_;
 
     /** Core pool for the request-processing cost model. */
     std::unique_ptr<sim::Semaphore> cpu_;

@@ -429,8 +429,8 @@ Cluster::primary(common::ShardId shard)
 void
 Cluster::populate()
 {
-    // Pre-size every server's per-key DRAM state (and its backend's
-    // mapping table) for this shard's share of the key space, so the
+    // Pre-size every backend's mapping table (and, on primaries, the
+    // per-key records) for this shard's share of the key space, so the
     // bulk load below performs zero rehashes.
     const std::uint64_t shard_keys =
         config_.numKeys / config_.numShards + config_.numKeys / 10 + 64;

@@ -10,6 +10,7 @@
 
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "milana/client.hh"
 #include "workload/cluster.hh"
@@ -405,6 +406,97 @@ TEST(Milana, FailoverRecoversCommittedState)
         EXPECT_EQ(r2, CommitResult::Committed);
         cluster.sim().requestStop();
     });
+}
+
+TEST(Milana, KeyRecordsLiveOnPrimariesOnly)
+{
+    // One record per key, on the shard's primary only: after populate
+    // every backup's table is empty and each primary holds exactly its
+    // shard's keys, each rebuilt and stamped with the load version.
+    const ClusterConfig cfg = smallConfig();
+    Cluster cluster(cfg);
+    cluster.populate();
+    const semel::Master &master = cluster.master();
+    for (std::size_t i = 0; i < cluster.numServers(); ++i) {
+        const milana::MilanaServer &server = cluster.server(i);
+        const semel::KeyRecords &records = server.records();
+        if (master.primaryOf(server.shard()) != server.nodeId()) {
+            EXPECT_EQ(records.size(), 0u) << "backup " << server.nodeId();
+            continue;
+        }
+        std::size_t shard_keys = 0;
+        for (Key k = 0; k < cfg.numKeys; ++k) {
+            if (master.shardMap().shardOf(k) != server.shard())
+                continue;
+            ++shard_keys;
+            const semel::KeyRecord *rec = records.find(k);
+            ASSERT_NE(rec, nullptr) << "key " << k;
+            EXPECT_TRUE(rec->rebuilt());
+            EXPECT_EQ(rec->committed(), (common::Version{1, 0}));
+        }
+        EXPECT_EQ(records.size(), shard_keys);
+    }
+}
+
+TEST(Milana, FailoverRebuiltStampsStillRejectStaleWrites)
+{
+    // The promoted primary starts with no records and rebuilds each
+    // key's ts_latestCommitted from storage on first touch: a write
+    // stamped at or below a version committed before the crash must
+    // still abort with WriteStale.
+    Cluster cluster(smallConfig(1, 3, 2));
+    cluster.populate();
+    cluster.start();
+    std::vector<semel::AbortReason> reasons;
+    drive(cluster, [&]() -> sim::Task<void> {
+        auto &client = cluster.client(0);
+        auto txn = client.beginTransaction();
+        client.put(txn, 42, "committed");
+        auto r = co_await client.commitTransaction(txn);
+        EXPECT_EQ(r, CommitResult::Committed);
+        co_await sim::sleepFor(cluster.sim(), 100 * kMillisecond);
+        const common::Version committed =
+            cluster.primary(0).latestCommitted(42);
+        EXPECT_GT(committed, (common::Version{1, 0}));
+
+        cluster.crashServer(cluster.master().primaryOf(0));
+        co_await cluster.failover(0, cluster.master().backupsOf(0)[0]);
+        milana::MilanaServer &promoted = cluster.primary(0);
+        EXPECT_EQ(promoted.records().find(42), nullptr);
+
+        const common::Version stale[] = {
+            committed, {committed.timestamp - 1, committed.clientId}};
+        std::uint64_t serial = 1;
+        for (const common::Version v : stale) {
+            semel::PrepareRequest req;
+            req.txn = semel::TxnId{999, serial++};
+            req.commitVersion = v;
+            req.beginVersion = v;
+            req.writeSet.push_back(semel::WriteSetEntry{42, "stale"});
+            req.participants = {0};
+            auto resp = co_await promoted.handlePrepare(std::move(req));
+            EXPECT_EQ(resp.vote, semel::Vote::Abort);
+            reasons.push_back(resp.reason);
+        }
+        const semel::KeyRecord *rec = promoted.records().find(42);
+        EXPECT_TRUE(rec != nullptr && rec->rebuilt());
+
+        // A later commit prepares and releases the key; the rebuilt
+        // flag packed beside the prepared mark's owner must survive.
+        auto txn2 = client.beginTransaction();
+        client.put(txn2, 42, "after");
+        auto r2 = co_await client.commitTransaction(txn2);
+        EXPECT_EQ(r2, CommitResult::Committed);
+        // The decision applies asynchronously after the vote.
+        co_await sim::sleepFor(cluster.sim(), 100 * kMillisecond);
+        rec = promoted.records().find(42);
+        EXPECT_TRUE(rec != nullptr && rec->rebuilt() &&
+                    !rec->isPrepared() && rec->committed() > committed);
+        cluster.sim().requestStop();
+    });
+    EXPECT_EQ(reasons, (std::vector<semel::AbortReason>{
+                           semel::AbortReason::WriteStale,
+                           semel::AbortReason::WriteStale}));
 }
 
 TEST(Milana, FailoverResolvesInDoubtCrossShardTxn)

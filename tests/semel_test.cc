@@ -259,6 +259,33 @@ TEST(Semel, DeleteRemovesKey)
     EXPECT_TRUE(gone);
 }
 
+TEST(Semel, DeleteKeepsItsStampAgainstDelayedPut)
+{
+    // A put stamped between an earlier put and a delete arrives late:
+    // at-most-once must reject it, not bring the deleted key back.
+    SemelRig rig;
+    PutResult late{};
+    bool gone = false;
+    sim::spawn([](SemelRig *rig, PutResult *late,
+                  bool *gone) -> sim::Task<void> {
+        // Named requests, not temporaries inside the co_await: GCC 12
+        // destroys such a temporary twice.
+        Server &primary = *rig->servers[0];
+        PutRequest first{6, "x", {10, 1}};
+        PutRequest delayed{6, "revived", {20, 2}};
+        (void)co_await primary.handlePut(first);
+        (void)co_await primary.handleDelete(6, {30, 1});
+        const auto resp = co_await primary.handlePut(delayed);
+        *late = resp.result;
+        const ftl::GetResult r = co_await rig->backends[0]->getLatest(6);
+        *gone = !r.found;
+    }(&rig, &late, &gone));
+    rig.sim.run();
+    EXPECT_EQ(late, PutResult::StaleRejected);
+    EXPECT_TRUE(gone);
+    EXPECT_EQ(rig.servers[0]->latestCommitted(6), (Version{30, 1}));
+}
+
 TEST(Semel, WatermarkAdvancesAfterAllClientsReport)
 {
     SemelRig rig;

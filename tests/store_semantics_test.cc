@@ -11,7 +11,8 @@
  * Also covers what the reference cannot: table capacity independence
  * (same contents whatever the initial pre-size), robin-hood erase
  * stress (backward-shift must leave every surviving key findable),
- * and the KeySet used for MilanaServer::keyStateReady_.
+ * and the KeyMap behind semel::Server's per-key records, replayed
+ * against std::unordered_map.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ftl/mapping_table.hh"
@@ -399,40 +399,98 @@ TEST(StoreSemantics, ClearRetainsCapacityDropsContents)
     EXPECT_EQ(store.versionCount(3), 1u);
 }
 
-// --------------------------------------------------------- KeySet
+// --------------------------------------------------------- KeyMap
 
-TEST(KeySet, InsertContainsChurnMatchesReference)
+namespace {
+
+/** A KeyMap payload with more than one word, so slot moves must carry
+ *  the whole value. */
+struct Payload
 {
-    std::mt19937_64 rng(99);
-    ftl::KeySet set;
-    std::unordered_set<Key> ref;
-    for (int i = 0; i < 50000; ++i) {
-        const Key key = rng() % 10000;
-        if (rng() % 3 == 0) {
-            ASSERT_EQ(set.contains(key), ref.count(key) > 0)
-                << "step " << i;
-        } else {
-            set.insert(key);
-            ref.insert(key);
-        }
+    std::uint64_t a = 0;
+    std::uint32_t b = 0;
+
+    bool operator==(const Payload &) const = default;
+};
+
+/** Every reference entry is found with its payload, and the sizes
+ *  agree. */
+void
+expectSameContents(const ftl::KeyMap<Payload> &map,
+                   const std::unordered_map<Key, Payload> &ref)
+{
+    ASSERT_EQ(map.size(), ref.size());
+    for (const auto &[key, value] : ref) {
+        const Payload *got = map.find(key);
+        ASSERT_NE(got, nullptr) << "key " << key;
+        ASSERT_EQ(*got, value) << "key " << key;
     }
-    ASSERT_EQ(set.size(), ref.size());
-    for (Key key = 0; key < 10000; ++key)
-        ASSERT_EQ(set.contains(key), ref.count(key) > 0)
-            << "key " << key;
-    set.clear();
-    EXPECT_EQ(set.size(), 0u);
-    for (Key key = 0; key < 10000; ++key)
-        ASSERT_FALSE(set.contains(key));
 }
 
-TEST(KeySet, ReservePreservesMembership)
+} // namespace
+
+TEST(KeyMap, InsertUpdateChurnMatchesReference)
 {
-    ftl::KeySet set;
+    std::mt19937_64 rng(99);
+    ftl::KeyMap<Payload> map;
+    std::unordered_map<Key, Payload> ref;
+    for (int i = 0; i < 50000; ++i) {
+        const Key key = rng() % 10000;
+        switch (rng() % 3) {
+          case 0: {
+            // Lookup: present exactly when the reference has it.
+            const auto it = ref.find(key);
+            const Payload *got = map.find(key);
+            ASSERT_EQ(got != nullptr, it != ref.end()) << "step " << i;
+            if (got != nullptr)
+                ASSERT_EQ(*got, it->second) << "step " << i;
+            break;
+          }
+          case 1: {
+            // Insert-or-get: a new key starts value-initialized.
+            Payload &p = map[key];
+            Payload &r = ref[key];
+            ASSERT_EQ(p, r) << "step " << i;
+            break;
+          }
+          default: {
+            // Payload update through operator[].
+            const Payload v{rng(), static_cast<std::uint32_t>(i)};
+            map[key] = v;
+            ref[key] = v;
+            break;
+          }
+        }
+    }
+    expectSameContents(map, ref);
+    for (Key key = 10000; key < 10100; ++key)
+        ASSERT_EQ(map.find(key), nullptr);
+}
+
+TEST(KeyMap, ReserveAndClearMatchReference)
+{
+    ftl::KeyMap<Payload> map;
+    std::unordered_map<Key, Payload> ref;
+    for (Key k = 0; k < 5000; ++k) {
+        const Key key = k * 2654435761ull;
+        map[key] = Payload{k, static_cast<std::uint32_t>(k * 3)};
+        ref[key] = Payload{k, static_cast<std::uint32_t>(k * 3)};
+    }
+    expectSameContents(map, ref);
+    map.reserve(10); // smaller: no-op
+    expectSameContents(map, ref);
+    map.reserve(1u << 18); // bigger: rehash keeps every payload
+    expectSameContents(map, ref);
+
+    // Clear drops every entry; the map is reusable and re-inserted
+    // keys start value-initialized.
+    map.clear();
+    ref.clear();
+    expectSameContents(map, ref);
     for (Key k = 0; k < 5000; ++k)
-        set.insert(k * 2654435761ull);
-    set.reserve(1u << 18);
-    for (Key k = 0; k < 5000; ++k)
-        ASSERT_TRUE(set.contains(k * 2654435761ull)) << "key " << k;
-    EXPECT_EQ(set.size(), 5000u);
+        ASSERT_EQ(map.find(k * 2654435761ull), nullptr);
+    EXPECT_EQ(map[7], Payload{});
+    map[7].b = 9;
+    ref[7] = Payload{0, 9};
+    expectSameContents(map, ref);
 }
