@@ -5,7 +5,7 @@
  * is promoted. Demonstrates:
  *
  *  - inconsistent primary/backup replication surviving a crash;
- *  - Algorithm 2 recovery (merging replica transaction logs);
+ *  - Algorithm 2 recovery (folding the replicas' transaction tables);
  *  - the read lease: the promoted primary waits out the old lease
  *    before serving, so no pre-crash read can be contradicted;
  *  - an invariant check (total balance) across the failover.

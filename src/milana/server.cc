@@ -1,6 +1,7 @@
 #include "milana/server.hh"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "common/chaos.hh"
@@ -226,18 +227,12 @@ MilanaServer::handlePrepare(PrepareRequest request)
     }
 
     // Idempotent retransmissions.
-    switch (txns_.statusOf(request.txn)) {
-      case semel::TxnStatus::Prepared:
-      case semel::TxnStatus::Committed:
-        resp.vote = Vote::Commit;
+    if (const semel::TxnStatus known = txns_.statusOf(request.txn);
+        known != semel::TxnStatus::Unknown) {
+        resp.vote = known == semel::TxnStatus::Aborted ? Vote::Abort
+                                                       : Vote::Commit;
         span.setTag("duplicate");
         co_return resp;
-      case semel::TxnStatus::Aborted:
-        resp.vote = Vote::Abort;
-        span.setTag("duplicate");
-        co_return resp;
-      case semel::TxnStatus::Unknown:
-        break;
     }
 
     for (const auto &read : request.readSet)
@@ -298,27 +293,32 @@ MilanaServer::handlePrepare(PrepareRequest request)
         span.setTag(semel::abortReasonName(reason));
         co_return resp;
     }
+
+    // The request is not read again, so the table entry takes its
+    // sets. A retransmission that passed the check above while
+    // ensureKeyState suspended folds as a no-op: vote as a duplicate.
+    const TxnEntry *entry = txns_.fold(
+        TxnEntry{{semel::TxnStatus::Prepared, request.txn,
+                  request.commitVersion, std::move(request.writeSet),
+                  std::move(request.participants)},
+                 sim_.now()});
+    if (entry == nullptr) {
+        resp.vote = txns_.statusOf(request.txn) == semel::TxnStatus::Aborted
+                        ? Vote::Abort
+                        : Vote::Commit;
+        span.setTag("duplicate");
+        co_return resp;
+    }
     resp.vote = Vote::Commit;
 
     // Mark the write set prepared — synchronously with validation, so
     // no concurrent prepare can interleave.
-    for (const auto &write : request.writeSet)
-        records_[write.key].prepare(request.commitVersion, request.txn);
-
-    txns_.insert(TxnEntry{request.txn, request.commitVersion,
-                          request.writeSet, request.participants,
-                          semel::TxnStatus::Prepared, sim_.now()});
+    for (const auto &write : entry->writeSet)
+        records_[write.key].prepare(entry->commitVersion, entry->txn);
 
     // Persist the prepare on a majority before voting: replicate the
-    // record (with the write set and shard list) and wait for f acks.
-    // The request is not read again, so the record takes its sets.
-    ReplicateTxnRecord record;
-    record.kind = TxnRecordKind::Prepared;
-    record.txn = request.txn;
-    record.commitVersion = request.commitVersion;
-    record.writeSet = std::move(request.writeSet);
-    record.participants = std::move(request.participants);
-    co_await replicateTxnRecord(std::move(record), true);
+    // entry (with the write set and shard list) and wait for f acks.
+    co_await replicateTxnRecord(*entry);
 
     stats_.counter("milana.votes_commit").inc();
     span.setTag("commit");
@@ -387,29 +387,23 @@ MilanaServer::handleDecision(DecisionRequest request)
     // Claim the entry synchronously BEFORE the apply suspends: the
     // client's decision and the CTP backup coordinator can race here,
     // and the loser must take the idempotent path above rather than
-    // resolve (erase) the entry out from under the winner.
+    // decide the entry out from under the winner.
     entry->status = request.decision == TxnDecision::Commit
                         ? semel::TxnStatus::Committed
                         : semel::TxnStatus::Aborted;
-
-    // Once claimed, nothing reads the entry's sets again (it is erased
-    // below), so the outcome record takes them instead of copying.
-    ReplicateTxnRecord record;
-    record.txn = request.txn;
-    record.commitVersion = entry->commitVersion;
-    record.participants = std::move(entry->participants);
-
-    if (request.decision == TxnDecision::Commit) {
-        record.kind = TxnRecordKind::Committed;
-        record.writeSet = std::move(entry->writeSet);
-        co_await applyCommit(record, request.late);
-        txns_.resolve(request.txn, semel::TxnStatus::Committed);
-    } else {
-        record.kind = TxnRecordKind::Aborted;
+    const TxnEntry bare{{entry->status, request.txn, entry->commitVersion,
+                         {}, {}}};
+    if (request.decision == TxnDecision::Commit)
+        co_await applyCommit(*entry, request.late);
+    else
         applyAbort(*entry);
-        txns_.resolve(request.txn, semel::TxnStatus::Aborted);
-    }
-    co_await replicateTxnRecord(std::move(record), true);
+
+    // Fold the bare outcome: a commit keeps the prepare's write set,
+    // which the replicated outcome carries too (a backup may not have
+    // the prepare yet). A no-op means a recovery fold decided it
+    // first and brings the backups level itself.
+    if (const TxnEntry *outcome = txns_.fold(bare))
+        co_await replicateTxnRecord(*outcome);
     co_return resp;
 }
 
@@ -423,31 +417,12 @@ MilanaServer::handleTxnStatus(TxnStatusRequest request)
 
 // --------------------------------------------------------- backups
 
-sim::Task<void>
-MilanaServer::replicateTxnRecord(ReplicateTxnRecord record,
-                                 bool wait_quorum)
+std::shared_ptr<sim::Quorum>
+MilanaServer::sendToBackups(const ReplicateTxnRecord &record)
 {
-    // Our own durable log entry first (the primary is a replica too).
-    if (milanaBackups_.empty()) {
-        txnLog_.push_back(std::move(record));
-        co_return;
-    }
-    txnLog_.push_back(record);
-
-    const char *kind = record.kind == TxnRecordKind::Prepared
-                           ? "prepared"
-                           : record.kind == TxnRecordKind::Committed
-                                 ? "committed"
-                                 : "aborted";
-    common::ScopedSpan span(trace_, "milana.repl.txn_record", kind);
-    const Time started = sim_.now();
-
     auto quorum = std::make_shared<sim::Quorum>(sim_, backupQuorum());
-    for (std::size_t i = 0; i < milanaBackups_.size(); ++i) {
-        // Each backup's handler owns its record: copy for all but the
-        // last backup, which takes ours.
-        ReplicateTxnRecord sent =
-            i + 1 < milanaBackups_.size() ? record : std::move(record);
+    for (MilanaServer *backup : milanaBackups_) {
+        // Each backup's handler owns its copy of the record.
         sim::spawn([](MilanaServer *self, MilanaServer *backup,
                       ReplicateTxnRecord rec,
                       std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
@@ -456,12 +431,27 @@ MilanaServer::replicateTxnRecord(ReplicateTxnRecord record,
                 backup->handleReplicateTxnRecord(std::move(rec)));
             if (ok.has_value() && *ok)
                 q->arrive();
-        }(this, milanaBackups_[i], std::move(sent), quorum));
+        }(this, backup, record, quorum));
     }
-    if (wait_quorum) {
-        co_await quorum->wait();
-        stats_.histogram("milana.repl_wait").record(sim_.now() - started);
-    }
+    return quorum;
+}
+
+sim::Task<void>
+MilanaServer::replicateTxnRecord(const ReplicateTxnRecord &record)
+{
+    // The primary's own copy is its table entry.
+    if (milanaBackups_.empty())
+        co_return;
+    const char *kind = record.status == semel::TxnStatus::Prepared
+                           ? "prepared"
+                           : record.status == semel::TxnStatus::Committed
+                                 ? "committed"
+                                 : "aborted";
+    common::ScopedSpan span(trace_, "milana.repl.txn_record", kind);
+    const Time started = sim_.now();
+    auto quorum = sendToBackups(record); // the last read of @p record
+    co_await quorum->wait();
+    stats_.histogram("milana.repl_wait").record(sim_.now() - started);
 }
 
 sim::Task<bool>
@@ -492,36 +482,21 @@ sim::Task<bool>
 MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record)
 {
     stats_.counter("milana.replica_records").inc();
-    // Apply the record — records may arrive in any order (Figure 5) —
-    // then append it to the log (models the persistent-memory log
-    // write). Nothing below reads the log, so the order is not
-    // observable, and the log can take the record instead of a copy.
-    switch (record.kind) {
-      case TxnRecordKind::Prepared: {
-        if (txns_.statusOf(record.txn) == semel::TxnStatus::Unknown)
-            txns_.insert(TxnEntry{record.txn, record.commitVersion,
-                                  record.writeSet, record.participants,
-                                  semel::TxnStatus::Prepared, sim_.now()});
-        break;
-      }
-      case TxnRecordKind::Committed: {
-        txns_.resolve(record.txn, semel::TxnStatus::Committed);
-        // Apply the committed writes to local storage, asynchronously:
-        // the ack only promises the log entry.
-        for (const auto &write : record.writeSet) {
-            sim::spawn([](MilanaServer *self, Key key, Value value,
-                          Version version) -> sim::Task<void> {
-                (void)co_await self->backend_.put(key, std::move(value),
-                                                  version);
-            }(this, write.key, write.value, record.commitVersion));
-        }
-        break;
-      }
-      case TxnRecordKind::Aborted:
-        txns_.resolve(record.txn, semel::TxnStatus::Aborted);
-        break;
+    // Fold the record into the table (models the persistent-memory
+    // write); records may arrive in any order (Figure 5). The first
+    // time a commit arrives, apply its writes to local storage,
+    // asynchronously: the ack only promises the table entry.
+    const TxnEntry *entry =
+        txns_.fold(TxnEntry{std::move(record), sim_.now()});
+    if (entry == nullptr || entry->status != semel::TxnStatus::Committed)
+        co_return true;
+    for (const auto &write : entry->writeSet) {
+        sim::spawn([](MilanaServer *self, Key key, Value value,
+                      Version version) -> sim::Task<void> {
+            (void)co_await self->backend_.put(key, std::move(value),
+                                              version);
+        }(this, write.key, write.value, entry->commitVersion));
     }
-    txnLog_.push_back(std::move(record));
     co_return true;
 }
 
@@ -591,7 +566,8 @@ MilanaServer::resolveOrphan(TxnId txn)
     if (entry == nullptr || entry->status != semel::TxnStatus::Prepared)
         co_return;
     stats_.counter("milana.ctp_invocations").inc();
-    // Copy before deciding: handleDecision resolves (erases) the entry.
+    // Copy before deciding: handleDecision moves the entry to the
+    // decided ones, dropping its participants.
     const std::vector<common::ShardId> participants = entry->participants;
 
     bool saw_commit = false;
@@ -667,7 +643,9 @@ MilanaServer::ctpScanLoop()
 {
     while (!sim_.stopRequested()) {
         co_await sim::sleepFor(sim_, mcfg_.ctpScanPeriod);
-        if (recovering_)
+        // Only a primary resolves orphans: a backup's entries are
+        // replicas, and it holds no per-key records to release.
+        if (recovering_ || !isPrimary())
             continue;
         const Time deadline = sim_.now() - mcfg_.ctpTimeout;
         for (const TxnId &txn : txns_.preparedBefore(deadline))
@@ -681,7 +659,7 @@ sim::Task<MilanaServer::RecoveryPull>
 MilanaServer::handleRecoveryPull()
 {
     RecoveryPull pull;
-    pull.txnLog = txnLog_;
+    txns_.forEach([&](const TxnEntry &entry) { pull.txns.push_back(entry); });
     pull.maxLeaseGranted = maxLeaseGranted_;
     co_return pull;
 }
@@ -692,8 +670,9 @@ MilanaServer::recoverAsPrimary()
     recovering_ = true;
     stats_.counter("milana.recoveries").inc();
 
-    // Collect logs from every reachable replica of the shard.
-    std::vector<ReplicateTxnRecord> merged = txnLog_;
+    // Algorithm 2: fold the table of every reachable replica of the
+    // shard into ours. Outcomes beat prepares; any single outcome is
+    // authoritative (it could only exist if the coordinator decided).
     Time max_lease = maxLeaseGranted_;
     for (const NodeId node : master_.replicasOf(shard_)) {
         if (node == id_)
@@ -705,48 +684,32 @@ MilanaServer::recoverAsPrimary()
             id_, node, peer->handleRecoveryPull());
         if (!pull.has_value())
             continue; // crashed replica
-        merged.insert(merged.end(), pull->txnLog.begin(),
-                      pull->txnLog.end());
+        for (TxnEntry &entry : pull->txns)
+            txns_.fold(std::move(entry));
         max_lease = std::max(max_lease, pull->maxLeaseGranted);
-    }
-
-    // Algorithm 2: fold the records into a fresh transaction table.
-    // Outcomes dominate prepares; any single record of an outcome is
-    // authoritative (it could only exist if the coordinator decided).
-    std::map<TxnId, ReplicateTxnRecord> prepares;
-    std::map<TxnId, ReplicateTxnRecord> outcomes;
-    for (const auto &rec : merged) {
-        if (rec.kind == TxnRecordKind::Prepared)
-            prepares.emplace(rec.txn, rec);
-        else
-            outcomes.emplace(rec.txn, rec);
     }
 
     records_.clear();
 
-    for (const auto &[txn, rec] : outcomes) {
-        if (rec.kind == TxnRecordKind::Committed) {
-            // Re-apply: backend puts are idempotent per version.
-            for (const auto &write : rec.writeSet) {
-                (void)co_await backend_.put(write.key, write.value,
-                                            rec.commitVersion);
-            }
-            txns_.resolve(txn, semel::TxnStatus::Committed);
-        } else {
-            txns_.resolve(txn, semel::TxnStatus::Aborted);
-        }
+    // Re-apply every committed write set: backend puts are idempotent
+    // per version. Decided entries are never erased, so the iteration
+    // survives decisions that land while a put suspends.
+    for (const auto &[txn, entry] : txns_.decided()) {
+        if (entry.status != semel::TxnStatus::Committed)
+            continue;
+        for (const auto &write : entry.writeSet)
+            (void)co_await backend_.put(write.key, write.value,
+                                        entry.commitVersion);
     }
 
-    for (const auto &[txn, rec] : prepares) {
-        if (outcomes.count(txn))
-            continue; // already decided above
-        if (txns_.statusOf(txn) != semel::TxnStatus::Unknown)
-            continue;
-        txns_.insert(TxnEntry{txn, rec.commitVersion, rec.writeSet,
-                              rec.participants, semel::TxnStatus::Prepared,
-                              sim_.now()});
-
-        if (rec.participants.size() <= 1) {
+    // One pass, in TxnId order, over every undecided transaction,
+    // whether this replica held it already or learned it from a peer.
+    for (const TxnId &txn :
+         txns_.preparedBefore(std::numeric_limits<Time>::max())) {
+        TxnEntry *entry = txns_.find(txn);
+        if (entry == nullptr || entry->status != semel::TxnStatus::Prepared)
+            continue; // decided while an earlier step suspended
+        if (entry->participants.size() <= 1) {
             // Single-shard prepared == committed (Algorithm 2).
             DecisionRequest req;
             req.txn = txn;
@@ -758,14 +721,15 @@ MilanaServer::recoverAsPrimary()
             // other participants once service resumes. Re-instate the
             // prepared marks so conflicting transactions abort until
             // then.
-            for (const auto &write : rec.writeSet)
-                records_[write.key].prepare(rec.commitVersion, txn);
+            for (const auto &write : entry->writeSet)
+                records_[write.key].prepare(entry->commitVersion, txn);
         }
     }
 
-    // Propagate the merged table to the backups (bring them level).
-    for (const auto &rec : merged)
-        co_await replicateTxnRecord(rec, false);
+    // Bring the backups level: one record per transaction, sent
+    // without waiting (a backup folds what it already holds away).
+    if (!milanaBackups_.empty())
+        txns_.forEach([this](const TxnEntry &entry) { sendToBackups(entry); });
 
     // Wait out the old primary's lease so no read it served can be
     // contradicted (its ts_latestRead values are lost with it).

@@ -21,17 +21,20 @@
  *
  * The per-key OCC state (ts_latestRead, ts_prepared and
  * ts_latestCommitted) is one semel::KeyRecord per key, held on the
- * shard's primary only. At a backup the server logs replicated
- * transaction records and applies committed write sets, keeping no
- * per-key state; a promoted backup rebuilds the transaction table by
- * merging the logs of a majority of replicas (Algorithm 2), rebuilds
- * each key's record from storage on first touch, and waits out the old
- * primary's lease before serving.
+ * shard's primary only, and only a primary runs the CTP. Every replica
+ * keeps its transactions in one TxnTable and nothing else: a backup
+ * folds replicated records into it and applies committed write sets,
+ * keeping no per-key state. A promoted backup folds the tables of the
+ * reachable replicas into its own and makes one pass over the
+ * undecided entries (Algorithm 2), rebuilds each key's record from
+ * storage on first touch, and waits out the old primary's lease
+ * before serving.
  */
 
 #ifndef MILANA_SERVER_HH
 #define MILANA_SERVER_HH
 
+#include <memory>
 #include <vector>
 
 #include "clocksync/clock.hh"
@@ -54,9 +57,7 @@ using semel::GetResponse;
 using semel::KeyRecord;
 using semel::PrepareRequest;
 using semel::PrepareResponse;
-using semel::ReplicateTxnRecord;
 using semel::TxnDecision;
-using semel::TxnRecordKind;
 using semel::TxnStatusRequest;
 using semel::TxnStatusResponse;
 using semel::Vote;
@@ -112,18 +113,18 @@ class MilanaServer : public semel::Server
     /** CTP status query from a peer participant. */
     sim::Task<TxnStatusResponse> handleTxnStatus(TxnStatusRequest request);
 
-    /** Backup side: log a replicated transaction record; apply
-     *  committed write sets. Order-insensitive. */
+    /** Backup side: fold a replicated transaction record into the
+     *  table; apply committed write sets. Order-insensitive. */
     sim::Task<bool> handleReplicateTxnRecord(ReplicateTxnRecord record);
 
     /** Backup side: grant a read lease to the primary. */
     sim::Task<Time> handleLeaseGrant(Time until);
 
-    /** Recovery pull: a promoted backup collects logs and the maximum
-     *  granted lease from its peers. */
+    /** Recovery pull: a promoted backup collects the table entries
+     *  and the maximum granted lease from its peers. */
     struct RecoveryPull
     {
-        std::vector<ReplicateTxnRecord> txnLog;
+        std::vector<TxnEntry> txns;
         Time maxLeaseGranted = 0;
     };
     sim::Task<RecoveryPull> handleRecoveryPull();
@@ -131,11 +132,12 @@ class MilanaServer : public semel::Server
     // ------------------------------------------------------ failover
 
     /**
-     * Promote this (backup) server to primary: merge transaction logs
-     * from all reachable replicas (Algorithm 2), resolve in-doubt
-     * transactions via the CTP, rebuild per-key state, wait out the
-     * old primary's lease, then begin service. The master must already
-     * have repointed the shard at this node.
+     * Promote this (backup) server to primary: fold the transaction
+     * tables of all reachable replicas into this one, re-apply the
+     * committed write sets, commit single-shard prepares and re-mark
+     * multi-shard ones for the CTP (Algorithm 2), bring the backups
+     * level, wait out the old primary's lease, then begin service.
+     * The master must already have repointed the shard at this node.
      */
     sim::Task<void> recoverAsPrimary();
 
@@ -177,14 +179,19 @@ class MilanaServer : public semel::Server
      *  recovered from the version stamps). */
     sim::Task<void> ensureKeyState(Key key);
 
-    /** Apply a committed record's writes; @p record must stay alive
-     *  until the returned task completes. */
+    /** Apply a committed record's writes; reads @p record only
+     *  before the returned task first suspends. */
     sim::Task<void> applyCommit(const ReplicateTxnRecord &record,
                                 bool late);
     void applyAbort(TxnEntry &entry);
 
-    sim::Task<void> replicateTxnRecord(ReplicateTxnRecord record,
-                                       bool wait_quorum);
+    /** Send a copy of a record to every backup; the quorum counts
+     *  their acks. */
+    std::shared_ptr<sim::Quorum>
+    sendToBackups(const ReplicateTxnRecord &record);
+    /** Replicate a record and wait for f backup acks. Reads @p record
+     *  only before it first suspends, so it may be a table entry. */
+    sim::Task<void> replicateTxnRecord(const ReplicateTxnRecord &record);
 
     /** Round-trip sync with f backups (remote read-only validation
      *  pays this; local validation is what removes it). */
@@ -207,9 +214,6 @@ class MilanaServer : public semel::Server
     TxnTable txns_;
     /** backups_, cast once when wired. */
     std::vector<MilanaServer *> milanaBackups_;
-
-    /** Backup-side log of replicated transaction records. */
-    std::vector<ReplicateTxnRecord> txnLog_;
 
     Time leaseUntil_ = 0;       ///< primary: lease expiry (local clock)
     Time maxLeaseGranted_ = 0;  ///< backup: newest lease it granted

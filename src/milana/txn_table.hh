@@ -1,11 +1,20 @@
 /**
  * @file
- * The MILANA primary's transaction table (paper section 4.1).
+ * A MILANA replica's transaction table (paper section 4.1): the one
+ * store of transactions on every replica, primary and backup alike.
  *
- * The transaction table records transactions that have prepared but
- * whose outcome has not yet been applied; it is replicated to the
- * backups as it changes and rebuilt by a new primary on failover
- * (Algorithm 2).
+ * The table holds one entry per transaction. An undecided entry keeps
+ * the write set and the participant shards; a decided one keeps its
+ * status, and a committed one also keeps its write set, which a
+ * promoted backup re-applies. Every record a replica learns — its own
+ * prepare, its own decision, a record replicated from the primary, or
+ * a peer's entry pulled during recovery — goes through one
+ * order-insensitive fold (fold()): an outcome beats a prepare, and
+ * duplicates are no-ops. Algorithm 2 is that fold over the replicas'
+ * tables followed by one pass over the undecided entries
+ * (MilanaServer::recoverAsPrimary). Only a primary runs the CTP over
+ * its stale undecided entries (preparedBefore); a backup's wait for
+ * the primary's outcome records.
  *
  * The per-key state lives in one record per key on the shard's
  * primary only, in DRAM (semel::KeyRecord, semel/server.hh):
@@ -33,47 +42,64 @@ using common::Key;
 using common::ShardId;
 using common::Time;
 using common::Version;
+using semel::ReplicateTxnRecord;
 using semel::TxnId;
 using semel::TxnStatus;
 using semel::WriteSetEntry;
 
-/** One transaction known to a primary. */
-struct TxnEntry
+/** One transaction known to a replica: its newest record, plus when
+ *  the replica learned of the prepare (for CTP timeouts). */
+struct TxnEntry : ReplicateTxnRecord
 {
-    TxnId txn;
-    Version commitVersion;
-    std::vector<WriteSetEntry> writeSet;
-    std::vector<ShardId> participants;
-    TxnStatus status = TxnStatus::Prepared;
-    /** TrueTime when this primary prepared it (for CTP timeouts). */
     Time preparedAt = 0;
 };
 
 class TxnTable
 {
   public:
-    void insert(TxnEntry entry);
+    /**
+     * Fold one record of a transaction into its entry. An outcome
+     * beats a prepare: the entry becomes decided, a committed one
+     * keeps the write set it carries (or else the prepare's) and an
+     * aborted one drops it. A record that adds nothing (a duplicate,
+     * or a prepare of a decided transaction) is a no-op. Returns the
+     * changed entry, or nullptr for a no-op.
+     */
+    const TxnEntry *fold(TxnEntry entry);
 
+    /** Undecided entry: prepared, or claimed by a decision that is
+     *  still being applied. */
     TxnEntry *find(const TxnId &txn);
-    const TxnEntry *find(const TxnId &txn) const;
 
-    /** Remove a decided transaction, remembering its outcome. */
-    void resolve(const TxnId &txn, TxnStatus outcome);
-
-    /** Status of a transaction: live entry, remembered outcome, or
+    /** Status of a transaction: undecided entry, decided entry, or
      *  Unknown. Feeds the CTP status queries. */
     TxnStatus statusOf(const TxnId &txn) const;
 
-    /** Prepared transactions older than the given deadline. */
+    /** Prepared transactions older than the given deadline, in TxnId
+     *  order. */
     std::vector<TxnId> preparedBefore(Time deadline) const;
 
-    std::size_t size() const { return entries_.size(); }
+    /** Decided transactions, in TxnId order. */
+    const std::map<TxnId, TxnEntry> &decided() const { return decided_; }
+
+    /** Visit every entry, one per transaction: the undecided ones,
+     *  then the decided ones, each in TxnId order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const auto &[id, entry] : undecided_)
+            fn(entry);
+        for (const auto &[id, entry] : decided_)
+            fn(entry);
+    }
+
+    /** Undecided transactions. */
+    std::size_t size() const { return undecided_.size(); }
 
   private:
-    std::map<TxnId, TxnEntry> entries_;
-    /** Outcomes of resolved transactions (for idempotent decisions
-     *  and CTP queries). */
-    std::map<TxnId, TxnStatus> outcomes_;
+    std::map<TxnId, TxnEntry> undecided_;
+    std::map<TxnId, TxnEntry> decided_;
 };
 
 } // namespace milana

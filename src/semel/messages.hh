@@ -93,6 +93,8 @@ struct WriteSetEntry
 {
     Key key = 0;
     Value value;
+
+    bool operator==(const WriteSetEntry &) const = default;
 };
 
 /** Globally unique transaction id. */
@@ -206,22 +208,24 @@ struct DecisionResponse
     bool ok = false;
 };
 
-/**
- * Primary -> backup: replicate a transaction-table update. Carries
- * the full prepare record (status PREPARED) or the final outcome
- * (COMMITTED/ABORTED). Backups apply these in any order (Figure 5);
- * a new primary reconstructs order during recovery.
- */
-enum class TxnRecordKind : std::uint8_t
+enum class TxnStatus : std::uint8_t
 {
+    Unknown, ///< never saw a prepare for it
     Prepared,
     Committed,
     Aborted,
 };
 
+/**
+ * Primary -> backup: replicate a transaction-table update. Carries
+ * the full prepare record (status Prepared, with the write set and
+ * shard list) or the final outcome (Committed with its write set, or
+ * Aborted). Backups fold these into their table in any order
+ * (Figure 5).
+ */
 struct ReplicateTxnRecord
 {
-    TxnRecordKind kind = TxnRecordKind::Prepared;
+    TxnStatus status = TxnStatus::Prepared;
     TxnId txn;
     Version commitVersion;
     std::vector<WriteSetEntry> writeSet;
@@ -232,14 +236,6 @@ struct ReplicateTxnRecord
 struct TxnStatusRequest
 {
     TxnId txn;
-};
-
-enum class TxnStatus : std::uint8_t
-{
-    Unknown, ///< never saw a prepare for it
-    Prepared,
-    Committed,
-    Aborted,
 };
 
 struct TxnStatusResponse

@@ -2,8 +2,8 @@
  * @file
  * MILANA integration tests: transaction semantics (atomicity,
  * snapshot isolation, serializability), local validation, OCC
- * conflicts, the cooperative termination protocol, leases, and
- * primary failover recovery.
+ * conflicts, the cooperative termination protocol, leases, primary
+ * failover recovery, and the transaction table's fold rule.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "milana/client.hh"
+#include "milana/txn_table.hh"
 #include "workload/cluster.hh"
 
 using namespace workload;
@@ -46,6 +47,21 @@ drive(Cluster &cluster, Fn fn)
 {
     sim::spawn(fn());
     cluster.sim().run();
+}
+
+/** A one-key write prepare, stamped at @p at, sent straight to a
+ *  server with no client to decide it. */
+semel::PrepareRequest
+directPrepare(semel::TxnId txn, Key key, common::Time at,
+              std::vector<common::ShardId> participants)
+{
+    semel::PrepareRequest req;
+    req.txn = txn;
+    req.commitVersion = common::Version{at, txn.client};
+    req.beginVersion = req.commitVersion;
+    req.writeSet.push_back(semel::WriteSetEntry{key, "prepared"});
+    req.participants = std::move(participants);
+    return req;
 }
 
 } // namespace
@@ -373,6 +389,44 @@ TEST(Milana, CtpResolvesOrphanedPrepare)
     EXPECT_GT(servers.counterValue("milana.ctp_invocations"), 0u);
 }
 
+TEST(Milana, BackupsDoNotRunCtp)
+{
+    // Cut the primary off from both backups after a prepare: the
+    // backups hold the prepare with no outcome, but only a primary
+    // resolves orphans, so no backup decides it or creates a record.
+    Cluster cluster(smallConfig(1, 3, 1));
+    cluster.populate();
+    cluster.start();
+    const semel::TxnId txn{999, 1};
+    drive(cluster, [&]() -> sim::Task<void> {
+        co_await sim::sleepFor(cluster.sim(), 10 * kMillisecond);
+        milana::MilanaServer &primary = cluster.primary(0);
+        semel::PrepareRequest req =
+            directPrepare(txn, 42, cluster.sim().now(), {0});
+        auto resp = co_await primary.handlePrepare(std::move(req));
+        EXPECT_EQ(resp.vote, semel::Vote::Commit);
+        for (const common::NodeId backup : cluster.master().backupsOf(0))
+            cluster.network().setLinkBroken(primary.nodeId(), backup, true);
+        co_await sim::sleepFor(cluster.sim(), 200 * kMillisecond);
+        cluster.sim().requestStop();
+    });
+    for (std::size_t i = 0; i < cluster.numServers(); ++i) {
+        milana::MilanaServer &backup = cluster.server(i);
+        if (cluster.master().primaryOf(0) == backup.nodeId())
+            continue;
+        EXPECT_EQ(backup.txnTable().statusOf(txn), semel::TxnStatus::Prepared)
+            << "backup " << backup.nodeId();
+        EXPECT_EQ(backup.stats().counterValue("milana.ctp_invocations"), 0u)
+            << "backup " << backup.nodeId();
+        EXPECT_EQ(backup.records().size(), 0u)
+            << "backup " << backup.nodeId();
+    }
+    // The primary, still up, resolves its orphan.
+    EXPECT_EQ(cluster.primary(0).stats().counterValue(
+                  "milana.ctp_invocations"),
+              1u);
+}
+
 TEST(Milana, FailoverRecoversCommittedState)
 {
     Cluster cluster(smallConfig(1, 3, 2));
@@ -543,6 +597,75 @@ TEST(Milana, FailoverResolvesInDoubtCrossShardTxn)
         (void)co_await client.commitTransaction(check);
         cluster.sim().requestStop();
     });
+}
+
+TEST(Milana, FailoverCommitsPrepareThePromotedBackupHeld)
+{
+    // A prepare reaches the primary and, through replication, every
+    // backup; then the primary crashes before anyone decides it. The
+    // promoted backup already holds the prepare in its own table, and
+    // Algorithm 2 must still resolve it: commit it when it is
+    // single-shard (else a newer transaction reads the old value and
+    // the CTP commits the prepare behind it), and re-mark its keys
+    // prepared for the CTP when it is multi-shard.
+    const semel::TxnId txn{999, 1};
+    {
+        Cluster cluster(smallConfig(1, 3, 1));
+        cluster.populate();
+        cluster.start();
+        drive(cluster, [&]() -> sim::Task<void> {
+            co_await sim::sleepFor(cluster.sim(), 10 * kMillisecond);
+            semel::PrepareRequest req =
+                directPrepare(txn, 42, cluster.sim().now(), {0});
+            auto resp =
+                co_await cluster.primary(0).handlePrepare(std::move(req));
+            EXPECT_EQ(resp.vote, semel::Vote::Commit);
+            co_await sim::sleepFor(cluster.sim(), kMillisecond);
+            cluster.crashServer(cluster.master().primaryOf(0));
+            co_await cluster.failover(0, cluster.master().backupsOf(0)[0]);
+            EXPECT_EQ(cluster.primary(0).txnTable().statusOf(txn),
+                      semel::TxnStatus::Committed);
+
+            auto &client = cluster.client(0);
+            auto later = client.beginTransaction();
+            auto read = co_await client.get(later, 42);
+            EXPECT_EQ(read.value, "prepared");
+            (void)co_await client.commitTransaction(later);
+            cluster.sim().requestStop();
+        });
+    }
+    {
+        Cluster cluster(smallConfig(2, 3, 1));
+        cluster.populate();
+        cluster.start();
+        Key key = 0;
+        while (cluster.master().shardMap().shardOf(key) != 0)
+            ++key;
+        drive(cluster, [&]() -> sim::Task<void> {
+            co_await sim::sleepFor(cluster.sim(), 10 * kMillisecond);
+            semel::PrepareRequest req =
+                directPrepare(txn, key, cluster.sim().now(), {0, 1});
+            auto resp =
+                co_await cluster.primary(0).handlePrepare(std::move(req));
+            EXPECT_EQ(resp.vote, semel::Vote::Commit);
+            co_await sim::sleepFor(cluster.sim(), kMillisecond);
+            cluster.crashServer(cluster.master().primaryOf(0));
+            co_await cluster.failover(0, cluster.master().backupsOf(0)[0]);
+            milana::MilanaServer &promoted = cluster.primary(0);
+            const semel::KeyRecord *rec = promoted.records().find(key);
+            EXPECT_TRUE(rec != nullptr && rec->isPrepared());
+            EXPECT_EQ(promoted.txnTable().statusOf(txn),
+                      semel::TxnStatus::Prepared);
+
+            // Shard 1 never saw the prepare, so the CTP aborts it.
+            co_await sim::sleepFor(cluster.sim(), 200 * kMillisecond);
+            rec = promoted.records().find(key);
+            EXPECT_TRUE(rec != nullptr && !rec->isPrepared());
+            EXPECT_EQ(promoted.txnTable().statusOf(txn),
+                      semel::TxnStatus::Aborted);
+            cluster.sim().requestStop();
+        });
+    }
 }
 
 TEST(Milana, RemoteValidationPathForReadOnly)
@@ -812,4 +935,122 @@ TEST(Milana, CtpRacingClientDecisionConverges)
             EXPECT_EQ(cluster.primary(s).txnTable().size(), 0u);
         cluster.sim().requestStop();
     });
+}
+
+// ------------------------------------------------- transaction table
+
+namespace {
+
+milana::TxnEntry
+record(semel::TxnStatus status, std::uint64_t serial,
+       std::vector<semel::WriteSetEntry> writes = {},
+       common::Time prepared_at = 0)
+{
+    return milana::TxnEntry{{status, semel::TxnId{7, serial},
+                             common::Version{100, 7}, std::move(writes),
+                             {0, 1}},
+                            prepared_at};
+}
+
+const std::vector<semel::WriteSetEntry> kWrites{{1, "a"}, {2, "b"}};
+
+} // namespace
+
+TEST(TxnTable, CommittedBeforePreparedStaysCommitted)
+{
+    milana::TxnTable table;
+    EXPECT_NE(table.fold(record(semel::TxnStatus::Committed, 1, kWrites)),
+              nullptr);
+    EXPECT_EQ(table.fold(record(semel::TxnStatus::Prepared, 1,
+                                {{3, "late"}})),
+              nullptr);
+    EXPECT_EQ(table.statusOf({7, 1}), semel::TxnStatus::Committed);
+    EXPECT_EQ(table.size(), 0u);
+    const milana::TxnEntry &entry = table.decided().at({7, 1});
+    EXPECT_EQ(entry.writeSet, kWrites);
+    EXPECT_TRUE(entry.participants.empty());
+}
+
+TEST(TxnTable, CommitWithoutWriteSetKeepsThePrepares)
+{
+    // The primary folds its own decision as a bare outcome.
+    milana::TxnTable table;
+    table.fold(record(semel::TxnStatus::Prepared, 1, kWrites));
+    table.fold(record(semel::TxnStatus::Committed, 1));
+    EXPECT_EQ(table.decided().at({7, 1}).writeSet, kWrites);
+}
+
+TEST(TxnTable, AbortedOutcomeDropsWriteSet)
+{
+    milana::TxnTable table;
+    table.fold(record(semel::TxnStatus::Prepared, 1, kWrites));
+    const milana::TxnEntry *entry =
+        table.fold(record(semel::TxnStatus::Aborted, 1, kWrites));
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->status, semel::TxnStatus::Aborted);
+    EXPECT_TRUE(entry->writeSet.empty());
+    EXPECT_TRUE(entry->participants.empty());
+    EXPECT_EQ(table.size(), 0u);
+
+    // Aborted first, then its prepare: still aborted, still empty.
+    table.fold(record(semel::TxnStatus::Aborted, 2));
+    EXPECT_EQ(table.fold(record(semel::TxnStatus::Prepared, 2, kWrites)),
+              nullptr);
+    EXPECT_TRUE(table.decided().at({7, 2}).writeSet.empty());
+    EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(TxnTable, DuplicateRecordsAreIdempotent)
+{
+    milana::TxnTable table;
+    EXPECT_NE(table.fold(record(semel::TxnStatus::Prepared, 1, kWrites)),
+              nullptr);
+    EXPECT_EQ(table.fold(record(semel::TxnStatus::Prepared, 1, kWrites)),
+              nullptr);
+    EXPECT_EQ(table.size(), 1u);
+    EXPECT_NE(table.fold(record(semel::TxnStatus::Committed, 1, kWrites)),
+              nullptr);
+    EXPECT_EQ(table.fold(record(semel::TxnStatus::Committed, 1, kWrites)),
+              nullptr);
+    // A conflicting late outcome cannot overturn the first.
+    EXPECT_EQ(table.fold(record(semel::TxnStatus::Aborted, 1)), nullptr);
+    EXPECT_EQ(table.statusOf({7, 1}), semel::TxnStatus::Committed);
+    std::size_t entries = 0;
+    table.forEach([&](const milana::TxnEntry &) { ++entries; });
+    EXPECT_EQ(entries, 1u);
+    EXPECT_EQ(table.decided().at({7, 1}).writeSet, kWrites);
+}
+
+TEST(TxnTable, StatusOfEachState)
+{
+    milana::TxnTable table;
+    EXPECT_EQ(table.statusOf({7, 1}), semel::TxnStatus::Unknown);
+    table.fold(record(semel::TxnStatus::Prepared, 1, kWrites));
+    EXPECT_EQ(table.statusOf({7, 1}), semel::TxnStatus::Prepared);
+    // A decision claims the undecided entry before it applies.
+    table.find({7, 1})->status = semel::TxnStatus::Committed;
+    EXPECT_EQ(table.statusOf({7, 1}), semel::TxnStatus::Committed);
+    EXPECT_EQ(table.size(), 1u);
+    table.fold(record(semel::TxnStatus::Committed, 1));
+    EXPECT_EQ(table.statusOf({7, 1}), semel::TxnStatus::Committed);
+    EXPECT_EQ(table.find({7, 1}), nullptr);
+    table.fold(record(semel::TxnStatus::Aborted, 2));
+    EXPECT_EQ(table.statusOf({7, 2}), semel::TxnStatus::Aborted);
+    EXPECT_EQ(table.statusOf({8, 1}), semel::TxnStatus::Unknown);
+}
+
+TEST(TxnTable, PreparedBeforeListsUndecidedInTxnIdOrder)
+{
+    milana::TxnTable table;
+    for (const std::uint64_t serial : {5u, 1u, 4u, 2u, 3u, 6u})
+        table.fold(record(semel::TxnStatus::Prepared, serial, kWrites,
+                          static_cast<common::Time>(serial * 10)));
+    table.fold(record(semel::TxnStatus::Committed, 2));   // decided
+    table.fold(record(semel::TxnStatus::Aborted, 4));     // decided
+    table.find({7, 3})->status = semel::TxnStatus::Aborted; // claimed
+    EXPECT_EQ(table.preparedBefore(60),
+              (std::vector<semel::TxnId>{{7, 1}, {7, 5}}));
+    EXPECT_EQ(table.preparedBefore(1000),
+              (std::vector<semel::TxnId>{{7, 1}, {7, 5}, {7, 6}}));
+    EXPECT_TRUE(table.preparedBefore(10).empty());
 }
