@@ -249,15 +249,14 @@ MilanaClient::twoPhaseCommit(Transaction &txn, bool read_only)
                       std::shared_ptr<VoteState> votes)
                        -> sim::Task<void> {
             std::optional<semel::PrepareResponse> resp;
-            const std::uint32_t retries = self->tcfg_.prepareRetries;
-            for (std::uint32_t attempt = 0; attempt <= retries && !resp;
-                 ++attempt) {
+            for (std::uint32_t attempt = 0;
+                 attempt <= kPrepareRetries && !resp; ++attempt) {
                 // The handler owns its request; keep ours for a retry
                 // unless this is the last attempt. (A named local, not
                 // a conditional temporary inside the co_await: GCC 12
                 // destroys such a temporary twice.)
                 semel::PrepareRequest sent =
-                    attempt < retries ? request : std::move(request);
+                    attempt < kPrepareRetries ? request : std::move(request);
                 resp = co_await self->net_.callTyped<semel::PrepareResponse>(
                     self->nodeId(), primary->nodeId(),
                     primary->handlePrepare(std::move(sent)));

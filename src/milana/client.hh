@@ -114,12 +114,15 @@ class Transaction
 class MilanaClient : public semel::Client
 {
   public:
+    /** Retransmissions of an unanswered prepare before the client
+     *  counts the shard's vote as failed. */
+    static constexpr std::uint32_t kPrepareRetries = 2;
+
     struct TxnConfig
     {
         /** Client-local validation of read-only transactions
          *  (section 4.3). Off = remote validation (Figure 8 w/o LV). */
         bool localValidation = true;
-        std::uint32_t prepareRetries = 2;
         /** Section 4.6 relaxation: transactions hinted read-write may
          *  read from any replica (load balancing); their reads are
          *  re-validated at the primary during prepare. */

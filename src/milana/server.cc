@@ -18,11 +18,9 @@ MilanaServer::MilanaServer(sim::Simulator &sim, net::Network &net,
                            ftl::KvBackend &backend,
                            clocksync::Clock &clock,
                            const semel::Server::Config &config,
-                           const MilanaConfig &milana_config,
                            semel::Master &master,
                            semel::Directory &directory)
     : semel::Server(sim, net, id, shard, backend, config),
-      mcfg_(milana_config),
       clock_(clock),
       master_(master),
       directory_(directory)
@@ -38,13 +36,10 @@ MilanaServer::isPrimary() const
 void
 MilanaServer::setBackups(std::vector<semel::Server *> backups)
 {
-    milanaBackups_.clear();
-    for (semel::Server *backup : backups) {
-        auto *mb = dynamic_cast<MilanaServer *>(backup);
-        if (mb == nullptr)
+    // Checked once here, so the backup calls below static_cast.
+    for (semel::Server *backup : backups)
+        if (dynamic_cast<MilanaServer *>(backup) == nullptr)
             PANIC("milana primary wired to a non-milana backup");
-        milanaBackups_.push_back(mb);
-    }
     semel::Server::setBackups(std::move(backups));
 }
 
@@ -53,7 +48,7 @@ MilanaServer::backupQuorum() const
 {
     return std::min<std::uint32_t>(
         config_.backupAcksNeeded,
-        static_cast<std::uint32_t>(milanaBackups_.size()));
+        static_cast<std::uint32_t>(backups_.size()));
 }
 
 void
@@ -70,7 +65,7 @@ void
 MilanaServer::start()
 {
     started_ = true;
-    if (mcfg_.enableLeases && !backups_.empty())
+    if (!backups_.empty())
         sim::spawn(leaseLoop());
     sim::spawn(ctpScanLoop());
 }
@@ -117,8 +112,7 @@ MilanaServer::handleGet(GetRequest request)
     // ts_latestRead values.
     const Time deadline = sim_.now() + common::kSecond;
     while (recovering_ ||
-           (mcfg_.enableLeases && !backups_.empty() &&
-            request.at.timestamp > leaseUntil_)) {
+           (!backups_.empty() && request.at.timestamp > leaseUntil_)) {
         if (sim_.now() > deadline || sim_.stopRequested()) {
             resp.unavailable = true;
             stats_.counter("milana.get_unavailable").inc();
@@ -268,12 +262,15 @@ MilanaServer::handlePrepare(PrepareRequest request)
                 break;
             }
         }
-        if (resp.vote == Vote::Commit) {
+        if (resp.vote == Vote::Commit && !backups_.empty()) {
             // The paper's remote validation costs the full prepare
             // path: the primary syncs with f backups before voting
             // (section 4.3 counts this as the second round trip that
             // local validation eliminates).
-            co_await barrierBackups();
+            auto acks = callBackups(backupQuorum(), [](semel::Server *b) {
+                return static_cast<MilanaServer *>(b)->handleBarrier();
+            });
+            co_await acks->wait();
         }
         stats_.counter(resp.vote == Vote::Commit
                            ? "milana.votes_commit"
@@ -327,20 +324,23 @@ MilanaServer::handlePrepare(PrepareRequest request)
 
 // ---------------------------------------------------------- decision
 
-sim::Task<void>
-MilanaServer::applyCommit(const ReplicateTxnRecord &record, bool late)
+void
+MilanaServer::applyCommit(const ReplicateTxnRecord &record,
+                          std::shared_ptr<sim::Quorum> decided, bool late)
 {
-    // Apply buffered writes in parallel; each key's prepared mark is
+    // Apply the writes in parallel; each key's prepared mark is
     // cleared only after its write is durable, so read-only snapshots
     // taken in the window still see the prepared flag (section 4.3).
-    auto done = std::make_shared<sim::Quorum>(
-        sim_, static_cast<std::uint32_t>(record.writeSet.size()));
     for (const auto &write : record.writeSet) {
+        ++applying_;
         sim::spawn([](MilanaServer *self, Key key, Value value,
                       Version version, TxnId txn, bool late,
                       std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
             (void)co_await self->backend_.put(key, std::move(value),
                                               version);
+            --self->applying_;
+            if (q == nullptr)
+                co_return;
             KeyRecord &rec = self->records_[key];
             rec.noteCommitted(version);
             rec.release(txn);
@@ -354,11 +354,8 @@ MilanaServer::applyCommit(const ReplicateTxnRecord &record, bool late)
                                  version.timestamp);
             q->arrive();
         }(this, write.key, write.value, record.commitVersion, record.txn,
-          late, done));
+          late, decided));
     }
-    if (!record.writeSet.empty())
-        co_await done->wait();
-    stats_.counter("milana.committed").inc();
 }
 
 void
@@ -393,10 +390,15 @@ MilanaServer::handleDecision(DecisionRequest request)
                         : semel::TxnStatus::Aborted;
     const TxnEntry bare{{entry->status, request.txn, entry->commitVersion,
                          {}, {}}};
-    if (request.decision == TxnDecision::Commit)
-        co_await applyCommit(*entry, request.late);
-    else
+    if (request.decision == TxnDecision::Commit) {
+        auto applied = std::make_shared<sim::Quorum>(
+            sim_, static_cast<std::uint32_t>(entry->writeSet.size()));
+        applyCommit(*entry, applied, request.late);
+        co_await applied->wait();
+        stats_.counter("milana.committed").inc();
+    } else {
         applyAbort(*entry);
+    }
 
     // Fold the bare outcome: a commit keeps the prepare's write set,
     // which the replicated outcome carries too (a backup may not have
@@ -417,30 +419,11 @@ MilanaServer::handleTxnStatus(TxnStatusRequest request)
 
 // --------------------------------------------------------- backups
 
-std::shared_ptr<sim::Quorum>
-MilanaServer::sendToBackups(const ReplicateTxnRecord &record)
-{
-    auto quorum = std::make_shared<sim::Quorum>(sim_, backupQuorum());
-    for (MilanaServer *backup : milanaBackups_) {
-        // Each backup's handler owns its copy of the record.
-        sim::spawn([](MilanaServer *self, MilanaServer *backup,
-                      ReplicateTxnRecord rec,
-                      std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
-            auto ok = co_await self->net_.callTyped<bool>(
-                self->id_, backup->nodeId(),
-                backup->handleReplicateTxnRecord(std::move(rec)));
-            if (ok.has_value() && *ok)
-                q->arrive();
-        }(this, backup, record, quorum));
-    }
-    return quorum;
-}
-
 sim::Task<void>
 MilanaServer::replicateTxnRecord(const ReplicateTxnRecord &record)
 {
     // The primary's own copy is its table entry.
-    if (milanaBackups_.empty())
+    if (backups_.empty())
         co_return;
     const char *kind = record.status == semel::TxnStatus::Prepared
                            ? "prepared"
@@ -449,8 +432,12 @@ MilanaServer::replicateTxnRecord(const ReplicateTxnRecord &record)
                                  : "aborted";
     common::ScopedSpan span(trace_, "milana.repl.txn_record", kind);
     const Time started = sim_.now();
-    auto quorum = sendToBackups(record); // the last read of @p record
-    co_await quorum->wait();
+    // Each backup's handler owns its copy: the last read of @p record.
+    auto acks = callBackups(backupQuorum(), [&record](semel::Server *b) {
+        return static_cast<MilanaServer *>(b)->handleReplicateTxnRecord(
+            record);
+    });
+    co_await acks->wait();
     stats_.histogram("milana.repl_wait").record(sim_.now() - started);
 }
 
@@ -460,76 +447,47 @@ MilanaServer::handleBarrier()
     co_return true;
 }
 
-sim::Task<void>
-MilanaServer::barrierBackups()
+void
+MilanaServer::learn(TxnEntry entry)
 {
-    if (milanaBackups_.empty())
-        co_return;
-    auto quorum = std::make_shared<sim::Quorum>(sim_, backupQuorum());
-    for (MilanaServer *backup : milanaBackups_) {
-        sim::spawn([](MilanaServer *self, MilanaServer *backup,
-                      std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
-            auto ok = co_await self->net_.callTyped<bool>(
-                self->id_, backup->nodeId(), backup->handleBarrier());
-            if (ok.has_value())
-                q->arrive();
-        }(this, backup, quorum));
-    }
-    co_await quorum->wait();
+    // Fold the record into the table (models the persistent-memory
+    // write); records may arrive in any order (Figure 5). The first
+    // time a commit arrives, apply its writes to local storage,
+    // asynchronously: an ack only promises the table entry.
+    const TxnEntry *folded = txns_.fold(std::move(entry));
+    if (folded != nullptr && folded->status == semel::TxnStatus::Committed)
+        applyCommit(*folded, nullptr, false);
 }
 
 sim::Task<bool>
 MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record)
 {
     stats_.counter("milana.replica_records").inc();
-    // Fold the record into the table (models the persistent-memory
-    // write); records may arrive in any order (Figure 5). The first
-    // time a commit arrives, apply its writes to local storage,
-    // asynchronously: the ack only promises the table entry.
-    const TxnEntry *entry =
-        txns_.fold(TxnEntry{std::move(record), sim_.now()});
-    if (entry == nullptr || entry->status != semel::TxnStatus::Committed)
-        co_return true;
-    for (const auto &write : entry->writeSet) {
-        sim::spawn([](MilanaServer *self, Key key, Value value,
-                      Version version) -> sim::Task<void> {
-            (void)co_await self->backend_.put(key, std::move(value),
-                                              version);
-        }(this, write.key, write.value, entry->commitVersion));
-    }
+    learn(TxnEntry{std::move(record), sim_.now()});
     co_return true;
 }
 
 // ------------------------------------------------------------ leases
 
-sim::Task<Time>
+sim::Task<bool>
 MilanaServer::handleLeaseGrant(Time until)
 {
     maxLeaseGranted_ = std::max(maxLeaseGranted_, until);
-    co_return maxLeaseGranted_;
+    co_return true;
 }
 
 sim::Task<bool>
 MilanaServer::renewLease()
 {
-    const Time until = clock_.localNow() + mcfg_.leaseDuration;
+    const Time until = clock_.localNow() + kLeaseDuration;
     const std::uint32_t needed = backupQuorum();
     if (needed == 0) {
         leaseUntil_ = until;
         co_return true;
     }
-    auto quorum = std::make_shared<sim::Quorum>(sim_, needed);
-    for (MilanaServer *backup : milanaBackups_) {
-        sim::spawn([](MilanaServer *self, MilanaServer *backup,
-                      Time until,
-                      std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
-            auto ok = co_await self->net_.callTyped<Time>(
-                self->id_, backup->nodeId(),
-                backup->handleLeaseGrant(until));
-            if (ok.has_value())
-                q->arrive();
-        }(this, backup, until, quorum));
-    }
+    auto quorum = callBackups(needed, [until](semel::Server *b) {
+        return static_cast<MilanaServer *>(b)->handleLeaseGrant(until);
+    });
     // Bounded wait: with a majority of backups down, renewal fails.
     sim::Promise<bool> done(sim_);
     auto fut = done.future();
@@ -553,7 +511,7 @@ MilanaServer::leaseLoop()
     while (!sim_.stopRequested()) {
         if (!recovering_)
             (void)co_await renewLease();
-        co_await sim::sleepFor(sim_, mcfg_.leaseRenewPeriod);
+        co_await sim::sleepFor(sim_, kLeaseRenewPeriod);
     }
 }
 
@@ -642,12 +600,12 @@ sim::Task<void>
 MilanaServer::ctpScanLoop()
 {
     while (!sim_.stopRequested()) {
-        co_await sim::sleepFor(sim_, mcfg_.ctpScanPeriod);
+        co_await sim::sleepFor(sim_, kCtpScanPeriod);
         // Only a primary resolves orphans: a backup's entries are
         // replicas, and it holds no per-key records to release.
         if (recovering_ || !isPrimary())
             continue;
-        const Time deadline = sim_.now() - mcfg_.ctpTimeout;
+        const Time deadline = sim_.now() - kCtpTimeout;
         for (const TxnId &txn : txns_.preparedBefore(deadline))
             co_await resolveOrphan(txn);
     }
@@ -673,6 +631,8 @@ MilanaServer::recoverAsPrimary()
     // Algorithm 2: fold the table of every reachable replica of the
     // shard into ours. Outcomes beat prepares; any single outcome is
     // authoritative (it could only exist if the coordinator decided).
+    // Each entry takes the step a replicated record takes: a commit
+    // learned here is applied, and nothing already held is re-written.
     Time max_lease = maxLeaseGranted_;
     for (const NodeId node : master_.replicasOf(shard_)) {
         if (node == id_)
@@ -685,22 +645,11 @@ MilanaServer::recoverAsPrimary()
         if (!pull.has_value())
             continue; // crashed replica
         for (TxnEntry &entry : pull->txns)
-            txns_.fold(std::move(entry));
+            learn(std::move(entry));
         max_lease = std::max(max_lease, pull->maxLeaseGranted);
     }
 
     records_.clear();
-
-    // Re-apply every committed write set: backend puts are idempotent
-    // per version. Decided entries are never erased, so the iteration
-    // survives decisions that land while a put suspends.
-    for (const auto &[txn, entry] : txns_.decided()) {
-        if (entry.status != semel::TxnStatus::Committed)
-            continue;
-        for (const auto &write : entry.writeSet)
-            (void)co_await backend_.put(write.key, write.value,
-                                        entry.commitVersion);
-    }
 
     // One pass, in TxnId order, over every undecided transaction,
     // whether this replica held it already or learned it from a peer.
@@ -728,17 +677,21 @@ MilanaServer::recoverAsPrimary()
 
     // Bring the backups level: one record per transaction, sent
     // without waiting (a backup folds what it already holds away).
-    if (!milanaBackups_.empty())
-        txns_.forEach([this](const TxnEntry &entry) { sendToBackups(entry); });
+    txns_.forEach([this](const TxnEntry &entry) {
+        callBackups(backupQuorum(), [&entry](semel::Server *b) {
+            return static_cast<MilanaServer *>(b)->handleReplicateTxnRecord(
+                entry);
+        });
+    });
 
     // Wait out the old primary's lease so no read it served can be
-    // contradicted (its ts_latestRead values are lost with it).
-    if (mcfg_.enableLeases) {
-        while (clock_.localNow() <=
-               max_lease + 10 * kMillisecond) {
-            co_await sim::sleepFor(sim_, kMillisecond);
-        }
-    }
+    // contradicted (its ts_latestRead values are lost with it), and
+    // every apply, this replica's backup-era puts included: once
+    // service resumes, a key's record is rebuilt from storage.
+    const bool leases = !backups_.empty();
+    while ((leases && clock_.localNow() <= max_lease + 10 * kMillisecond) ||
+           applying_ > 0)
+        co_await sim::sleepFor(sim_, kMillisecond);
 
     recovering_ = false;
     if (!started_)

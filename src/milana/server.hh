@@ -23,12 +23,17 @@
  * ts_latestCommitted) is one semel::KeyRecord per key, held on the
  * shard's primary only, and only a primary runs the CTP. Every replica
  * keeps its transactions in one TxnTable and nothing else: a backup
- * folds replicated records into it and applies committed write sets,
- * keeping no per-key state. A promoted backup folds the tables of the
- * reachable replicas into its own and makes one pass over the
- * undecided entries (Algorithm 2), rebuilds each key's record from
- * storage on first touch, and waits out the old primary's lease
- * before serving.
+ * folds replicated records into it, keeping no per-key state.
+ *
+ * A committed write set reaches storage on one path (applyCommit):
+ * the primary's decision, which also advances and releases the keys'
+ * records, or a replica's first fold of the commit, which only puts.
+ * A promoted backup folds the tables of the reachable replicas into
+ * its own through that same step, so it writes only the commits it
+ * learns; it then makes one pass over the undecided entries
+ * (Algorithm 2), and serves again once the old primary's lease has
+ * run out and every apply has landed, so each key's record can be
+ * rebuilt from storage on first touch.
  */
 
 #ifndef MILANA_SERVER_HH
@@ -65,23 +70,21 @@ using semel::Vote;
 class MilanaServer : public semel::Server
 {
   public:
-    struct MilanaConfig
-    {
-        /** Read-lease duration granted by backups. */
-        common::Duration leaseDuration = 2 * common::kSecond;
-        /** How often the primary renews its lease. */
-        common::Duration leaseRenewPeriod = 500 * common::kMillisecond;
-        /** Orphaned-prepare age that triggers the CTP. */
-        common::Duration ctpTimeout = 50 * common::kMillisecond;
-        common::Duration ctpScanPeriod = 20 * common::kMillisecond;
-        /** Disable leases for single-node configurations. */
-        bool enableLeases = true;
-    };
+    /** Read-lease duration granted by backups, and how often the
+     *  primary renews its lease. A primary holds leases iff it has
+     *  backups. */
+    static constexpr common::Duration kLeaseDuration = 2 * common::kSecond;
+    static constexpr common::Duration kLeaseRenewPeriod =
+        500 * common::kMillisecond;
+    /** Orphaned-prepare age that triggers the CTP, and how often a
+     *  primary scans for orphans. */
+    static constexpr common::Duration kCtpTimeout = 50 * common::kMillisecond;
+    static constexpr common::Duration kCtpScanPeriod =
+        20 * common::kMillisecond;
 
     MilanaServer(sim::Simulator &sim, net::Network &net, NodeId id,
                  common::ShardId shard, ftl::KvBackend &backend,
                  clocksync::Clock &clock, const semel::Server::Config &config,
-                 const MilanaConfig &milana_config,
                  semel::Master &master, semel::Directory &directory);
 
     /** Start background processes (lease renewal, CTP scanner). */
@@ -114,11 +117,11 @@ class MilanaServer : public semel::Server
     sim::Task<TxnStatusResponse> handleTxnStatus(TxnStatusRequest request);
 
     /** Backup side: fold a replicated transaction record into the
-     *  table; apply committed write sets. Order-insensitive. */
+     *  table (see learn()). Order-insensitive. */
     sim::Task<bool> handleReplicateTxnRecord(ReplicateTxnRecord record);
 
     /** Backup side: grant a read lease to the primary. */
-    sim::Task<Time> handleLeaseGrant(Time until);
+    sim::Task<bool> handleLeaseGrant(Time until);
 
     /** Recovery pull: a promoted backup collects the table entries
      *  and the maximum granted lease from its peers. */
@@ -133,11 +136,12 @@ class MilanaServer : public semel::Server
 
     /**
      * Promote this (backup) server to primary: fold the transaction
-     * tables of all reachable replicas into this one, re-apply the
-     * committed write sets, commit single-shard prepares and re-mark
+     * tables of all reachable replicas into this one, applying each
+     * commit it learns, commit single-shard prepares and re-mark
      * multi-shard ones for the CTP (Algorithm 2), bring the backups
-     * level, wait out the old primary's lease, then begin service.
-     * The master must already have repointed the shard at this node.
+     * level, wait out the old primary's lease and every in-flight
+     * apply, then begin service. The master must already have
+     * repointed the shard at this node.
      */
     sim::Task<void> recoverAsPrimary();
 
@@ -179,16 +183,23 @@ class MilanaServer : public semel::Server
      *  recovered from the version stamps). */
     sim::Task<void> ensureKeyState(Key key);
 
-    /** Apply a committed record's writes; reads @p record only
-     *  before the returned task first suspends. */
-    sim::Task<void> applyCommit(const ReplicateTxnRecord &record,
-                                bool late);
+    /**
+     * The one path that puts a committed write set: one spawned put
+     * per write, counted in applying_ until it lands. Reads @p record
+     * only before it returns. For a decision (@p decided set), each
+     * landed put also advances the key's record, releases its
+     * prepared mark, emits milana.key.commit (tagged "late" for a
+     * CTP or recovery decision) and arrives at @p decided; a replica
+     * that learns a commit only puts.
+     */
+    void applyCommit(const ReplicateTxnRecord &record,
+                     std::shared_ptr<sim::Quorum> decided, bool late);
     void applyAbort(TxnEntry &entry);
 
-    /** Send a copy of a record to every backup; the quorum counts
-     *  their acks. */
-    std::shared_ptr<sim::Quorum>
-    sendToBackups(const ReplicateTxnRecord &record);
+    /** Fold a record a peer sent (replicated, or pulled in recovery)
+     *  into the table, and apply a commit the first time it arrives. */
+    void learn(TxnEntry entry);
+
     /** Replicate a record and wait for f backup acks. Reads @p record
      *  only before it first suspends, so it may be a table entry. */
     sim::Task<void> replicateTxnRecord(const ReplicateTxnRecord &record);
@@ -196,7 +207,6 @@ class MilanaServer : public semel::Server
     /** Round-trip sync with f backups (remote read-only validation
      *  pays this; local validation is what removes it). */
     sim::Task<bool> handleBarrier();
-    sim::Task<void> barrierBackups();
 
     sim::Task<bool> renewLease();
     sim::Task<void> leaseLoop();
@@ -205,15 +215,14 @@ class MilanaServer : public semel::Server
     /** Cooperative termination for an orphaned prepared transaction. */
     sim::Task<void> resolveOrphan(TxnId txn);
 
-    MilanaConfig mcfg_;
     clocksync::Clock &clock_;
     const common::ChaosEngine *chaos_ = nullptr;
     semel::Master &master_;
     semel::Directory &directory_;
 
     TxnTable txns_;
-    /** backups_, cast once when wired. */
-    std::vector<MilanaServer *> milanaBackups_;
+    /** Puts of committed write sets that have not landed yet. */
+    std::uint64_t applying_ = 0;
 
     Time leaseUntil_ = 0;       ///< primary: lease expiry (local clock)
     Time maxLeaseGranted_ = 0;  ///< backup: newest lease it granted

@@ -6,11 +6,11 @@
  * The table holds one entry per transaction. An undecided entry keeps
  * the write set and the participant shards; a decided one keeps its
  * status, and a committed one also keeps its write set, which a
- * promoted backup re-applies. Every record a replica learns — its own
- * prepare, its own decision, a record replicated from the primary, or
- * a peer's entry pulled during recovery — goes through one
- * order-insensitive fold (fold()): an outcome beats a prepare, and
- * duplicates are no-ops. Algorithm 2 is that fold over the replicas'
+ * promoted backup that learns the commit from this table applies.
+ * Every record a replica learns — its own prepare, its own decision,
+ * a record replicated from the primary, or a peer's entry pulled
+ * during recovery — goes through one order-insensitive fold (fold()):
+ * an outcome beats a prepare, and duplicates are no-ops. Algorithm 2 is that fold over the replicas'
  * tables followed by one pass over the undecided entries
  * (MilanaServer::recoverAsPrimary). Only a primary runs the CTP over
  * its stale undecided entries (preparedBefore); a backup's wait for

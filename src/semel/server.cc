@@ -18,19 +18,17 @@ Server::Server(sim::Simulator &sim, net::Network &net, NodeId id,
       id_(id),
       shard_(shard),
       backend_(backend),
-      config_(config)
+      config_(config),
+      cpu_(sim, kCpuCores)
 {
-    cpu_ = std::make_unique<sim::Semaphore>(sim, config.cpuCores);
 }
 
 sim::Task<void>
 Server::chargeCpu()
 {
-    if (config_.requestCpuTime <= 0)
-        co_return;
-    co_await cpu_->acquire();
-    co_await sim::sleepFor(sim_, config_.requestCpuTime);
-    cpu_->release();
+    co_await cpu_.acquire();
+    co_await sim::sleepFor(sim_, kRequestCpuTime);
+    cpu_.release();
 }
 
 void
@@ -66,11 +64,20 @@ Server::handleGet(GetRequest request)
     co_return resp;
 }
 
-sim::Task<bool>
+sim::Task<void>
+Server::ackInto(std::shared_ptr<sim::Quorum> acks, NodeId backup,
+                sim::Task<bool> handler)
+{
+    auto ok = co_await net_.callTyped<bool>(id_, backup, std::move(handler));
+    if (ok.has_value() && *ok)
+        acks->arrive();
+}
+
+sim::Task<void>
 Server::replicateToBackups(ReplicateWrite msg)
 {
     if (backups_.empty())
-        co_return true;
+        co_return;
     if (config_.backupAcksNeeded > backups_.size())
         PANIC("quorum " << config_.backupAcksNeeded << " > "
                         << backups_.size() << " backups");
@@ -78,22 +85,12 @@ Server::replicateToBackups(ReplicateWrite msg)
     common::ScopedSpan span(trace_, "semel.repl.write");
     span.setArg(static_cast<std::int64_t>(backups_.size()));
     const Time started = sim_.now();
-    auto quorum = std::make_shared<sim::Quorum>(
-        sim_, config_.backupAcksNeeded);
-    for (Server *backup : backups_) {
-        sim::spawn([](Server *self, Server *backup, ReplicateWrite m,
-                      std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
-            auto ok = co_await self->net_.callTyped<bool>(
-                self->id_, backup->nodeId(),
-                backup->handleReplicateWrite(m));
-            if (ok.has_value() && *ok)
-                q->arrive();
-        }(this, backup, msg, quorum));
-    }
+    auto acks = callBackups(config_.backupAcksNeeded, [&msg](Server *b) {
+        return b->handleReplicateWrite(msg);
+    });
     // Inconsistent replication: no ordering, just a quorum of acks.
-    co_await quorum->wait();
+    co_await acks->wait();
     stats_.histogram("semel.repl_wait").record(sim_.now() - started);
-    co_return true;
 }
 
 sim::Task<PutResponse>

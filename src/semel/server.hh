@@ -127,13 +127,14 @@ class Server
         /** Number of clients that must report before the watermark
          *  advances (0 disables watermark GC). */
         std::uint32_t expectedClients = 0;
-        /** Request-processing CPU model: cores available to the
-         *  server process... */
-        std::uint32_t cpuCores = 8;
-        /** ...and CPU time consumed per request handled. Bounds the
-         *  server's request rate at cpuCores / requestCpuTime. */
-        common::Duration requestCpuTime = 100 * common::kMicrosecond;
     };
+
+    /** Request-processing CPU model: cores available to the server
+     *  process, and CPU time consumed per request handled. Bounds the
+     *  server's request rate at kCpuCores / kRequestCpuTime. */
+    static constexpr std::uint32_t kCpuCores = 8;
+    static constexpr common::Duration kRequestCpuTime =
+        100 * common::kMicrosecond;
 
     Server(sim::Simulator &sim, net::Network &net, NodeId id,
            ShardId shard, ftl::KvBackend &backend, const Config &config);
@@ -190,10 +191,27 @@ class Server
     sim::Task<void> chargeCpu();
 
     /**
-     * Replicate a write to the backups and wait for the configured
-     * quorum of acknowledgements. Returns true on quorum.
+     * Call every backup: @p call maps a backup to its unstarted
+     * handler, which answers true to acknowledge. Returns the quorum
+     * that @p needed acknowledgements satisfy. Calls start in backup
+     * order, before this returns.
      */
-    sim::Task<bool> replicateToBackups(ReplicateWrite msg);
+    template <typename Call>
+    std::shared_ptr<sim::Quorum>
+    callBackups(std::uint32_t needed, Call call)
+    {
+        auto acks = std::make_shared<sim::Quorum>(sim_, needed);
+        for (Server *backup : backups_)
+            sim::spawn(ackInto(acks, backup->nodeId(), call(backup)));
+        return acks;
+    }
+    /** One call of callBackups: a true answer arrives at @p acks. */
+    sim::Task<void> ackInto(std::shared_ptr<sim::Quorum> acks,
+                            NodeId backup, sim::Task<bool> handler);
+
+    /** Replicate a write to the backups and wait for the configured
+     *  quorum of acknowledgements. */
+    sim::Task<void> replicateToBackups(ReplicateWrite msg);
 
     sim::Simulator &sim_;
     net::Network &net_;
@@ -207,7 +225,7 @@ class Server
     KeyRecords records_;
 
     /** Core pool for the request-processing cost model. */
-    std::unique_ptr<sim::Semaphore> cpu_;
+    sim::Semaphore cpu_;
 
     /** Latest report per client; min over all = watermark. */
     std::map<ClientId, Time> clientReports_;

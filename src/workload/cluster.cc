@@ -407,12 +407,9 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
         server_config.backupAcksNeeded = 1; // 2 replicas: wait the one
     server_config.expectedClients = config_.numClients;
 
-    milana::MilanaServer::MilanaConfig milana_config;
-    milana_config.enableLeases = config_.replicasPerShard > 1;
-
     servers_.push_back(std::make_unique<milana::MilanaServer>(
         sim_, net_, node, shard, *backend, *serverClocks_.back(),
-        server_config, milana_config, master_, directory_));
+        server_config, master_, directory_));
     directory_.add(servers_.back().get());
 }
 

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "milana/client.hh"
 #include "milana/txn_table.hh"
+#include "sim/sync.hh"
 #include "workload/cluster.hh"
 
 using namespace workload;
@@ -427,18 +429,51 @@ TEST(Milana, BackupsDoNotRunCtp)
               1u);
 }
 
-TEST(Milana, FailoverRecoversCommittedState)
+namespace {
+
+/**
+ * Commit 3,200 transactions on a 1x3 cluster, crash the
+ * primary and promote a backup: recovery must end within the lease
+ * wait (+100 ms), and the committed values must read back. A promoted
+ * backup that re-wrote the run's whole history, one put at a time,
+ * would outlast the lease wait on MFTL (~1 ms pack timer per put).
+ */
+void
+checkFailoverRecoversCommittedState(BackendKind backend)
 {
-    Cluster cluster(smallConfig(1, 3, 2));
+    ClusterConfig cfg = smallConfig(1, 3, 8);
+    cfg.backend = backend;
+    Cluster cluster(cfg);
     cluster.populate();
     cluster.start();
+    // Each client cycles over keys of its own, so no transaction
+    // aborts: a key is written again only after its last put landed.
+    const std::uint32_t clients = cfg.numClients;
+    const std::uint32_t keys_per_client = 16;
+    const std::uint32_t txns_per_client = 400;
+    std::vector<std::string> last(clients * keys_per_client);
 
     drive(cluster, [&]() -> sim::Task<void> {
-        auto &client = cluster.client(0);
-        auto txn = client.beginTransaction();
-        client.put(txn, 42, "survives");
-        auto r = co_await client.commitTransaction(txn);
-        EXPECT_EQ(r, CommitResult::Committed);
+        auto done = std::make_shared<sim::Quorum>(cluster.sim(), clients);
+        for (std::uint32_t c = 0; c < clients; ++c) {
+            sim::spawn([](MilanaClient *client, Key first, Key stride,
+                          std::uint32_t txns, std::vector<std::string> *last,
+                          std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
+                for (std::uint32_t i = 0; i < txns; ++i) {
+                    const Key key = first + stride * (i % 16);
+                    auto txn = client->beginTransaction();
+                    std::string value = "v" + std::to_string(i);
+                    client->put(txn, key, value);
+                    auto r = co_await client->commitTransaction(txn);
+                    if (r == CommitResult::Committed)
+                        (*last)[key] = std::move(value);
+                }
+                q->arrive();
+            }(&cluster.client(c), c, clients, txns_per_client, &last, done));
+        }
+        co_await done->wait();
+        EXPECT_EQ(cluster.clientStats().counterValue("txn.committed"),
+                  clients * txns_per_client);
         co_await sim::sleepFor(cluster.sim(), 100 * kMillisecond);
 
         // Crash the primary (node 0) and promote the first backup.
@@ -447,17 +482,100 @@ TEST(Milana, FailoverRecoversCommittedState)
         const common::NodeId new_primary =
             cluster.master().backupsOf(0)[0];
         cluster.crashServer(old_primary);
+        const common::Time started = cluster.sim().now();
         co_await cluster.failover(0, new_primary);
+        EXPECT_LE(cluster.sim().now() - started,
+                  milana::MilanaServer::kLeaseDuration + 100 * kMillisecond);
 
         // After recovery (incl. the lease wait), reads and writes work
-        // against the new primary and see the committed value.
-        auto txn2 = client.beginTransaction();
-        auto read = co_await client.get(txn2, 42);
-        EXPECT_TRUE(read.ok);
-        EXPECT_EQ(read.value, "survives");
-        client.put(txn2, 42, "post-failover");
-        auto r2 = co_await client.commitTransaction(txn2);
-        EXPECT_EQ(r2, CommitResult::Committed);
+        // against the new primary and see the committed values.
+        auto &client = cluster.client(0);
+        auto txn = client.beginTransaction();
+        for (Key k = 0; k < last.size(); ++k) {
+            auto read = co_await client.get(txn, k);
+            EXPECT_TRUE(read.ok);
+            EXPECT_EQ(read.value, last[k]) << "key " << k;
+        }
+        client.put(txn, 0, "post-failover");
+        auto r = co_await client.commitTransaction(txn);
+        EXPECT_EQ(r, CommitResult::Committed);
+        cluster.sim().requestStop();
+    });
+}
+
+} // namespace
+
+TEST(Milana, FailoverRecoversCommittedState)
+{
+    checkFailoverRecoversCommittedState(BackendKind::Dram);
+}
+
+TEST(Milana, FailoverRecoversCommittedStateOnMftl)
+{
+    checkFailoverRecoversCommittedState(BackendKind::Mftl);
+}
+
+TEST(Milana, RecoveryPutsOnlyTheCommitsItLearns)
+{
+    // Backup B is cut off from the primary after T's prepare and
+    // before T's outcome record; backup A gets the outcome. Promoted,
+    // B learns T's commit from A: it must put exactly T's write set
+    // during recovery — the commits it applied as a backup are not
+    // written again — and serve T's writes. The old lease has expired
+    // by then, so only the wait for in-flight applies keeps service
+    // from resuming before MFTL's pack timer lands T's puts.
+    ClusterConfig cfg = smallConfig(1, 3, 1);
+    cfg.backend = BackendKind::Mftl;
+    Cluster cluster(cfg);
+    cluster.populate();
+    cluster.start();
+    const semel::TxnId txn{999, 1};
+    drive(cluster, [&]() -> sim::Task<void> {
+        auto &client = cluster.client(0);
+        for (Key k = 0; k < 20; ++k) {
+            auto before = client.beginTransaction();
+            client.put(before, k, "before");
+            auto r = co_await client.commitTransaction(before);
+            EXPECT_EQ(r, CommitResult::Committed);
+        }
+        co_await sim::sleepFor(cluster.sim(), 100 * kMillisecond);
+
+        milana::MilanaServer &primary = cluster.primary(0);
+        const common::NodeId cut_off = cluster.master().backupsOf(0)[1];
+        semel::PrepareRequest req =
+            directPrepare(txn, 42, cluster.sim().now(), {0});
+        req.writeSet.push_back(semel::WriteSetEntry{43, "prepared"});
+        req.writeSet.push_back(semel::WriteSetEntry{44, "prepared"});
+        auto vote = co_await primary.handlePrepare(std::move(req));
+        EXPECT_EQ(vote.vote, semel::Vote::Commit);
+        co_await sim::sleepFor(cluster.sim(), kMillisecond);
+        EXPECT_EQ(cluster.server(cut_off).txnTable().statusOf(txn),
+                  semel::TxnStatus::Prepared);
+
+        cluster.network().setLinkBroken(primary.nodeId(), cut_off, true);
+        semel::DecisionRequest commit;
+        commit.txn = txn;
+        commit.decision = semel::TxnDecision::Commit;
+        (void)co_await primary.handleDecision(commit);
+        co_await sim::sleepFor(cluster.sim(), 10 * kMillisecond);
+        EXPECT_EQ(cluster.server(cut_off).txnTable().statusOf(txn),
+                  semel::TxnStatus::Prepared);
+
+        cluster.crashServer(primary.nodeId());
+        co_await sim::sleepFor(cluster.sim(),
+                               milana::MilanaServer::kLeaseDuration);
+        const common::StatSet &puts =
+            cluster.server(cut_off).backend().stats();
+        const std::uint64_t before = puts.counterValue("mftl.puts");
+        co_await cluster.failover(0, cut_off);
+        EXPECT_EQ(puts.counterValue("mftl.puts") - before, 3u);
+
+        auto after = client.beginTransaction();
+        for (Key k = 42; k <= 44; ++k) {
+            auto read = co_await client.get(after, k);
+            EXPECT_EQ(read.value, "prepared") << "key " << k;
+        }
+        (void)co_await client.commitTransaction(after);
         cluster.sim().requestStop();
     });
 }

@@ -155,7 +155,7 @@ TEST_P(RecoveryFuzz, InvariantSurvivesRandomCrashPoint)
             cluster->primary(static_cast<common::ShardId>(seed % 2));
         while (promoted.recovering())
             co_await sim::sleepFor(cluster->sim(), 10 * kMillisecond);
-        // Leave the CTP scanners running past ctpTimeout so orphaned
+        // Leave the CTP scanners running past kCtpTimeout so orphaned
         // multi-shard prepares from the crash window resolve before
         // the audit.
         co_await sim::sleepFor(cluster->sim(), 150 * kMillisecond);
