@@ -54,6 +54,8 @@ class DramBackend : public KvBackend
     };
 
     using Store = VersionStore<Stored>;
+    static_assert(Store::kSlotBytes == 64,
+                  "a DRAM key with one version fills one cache line");
 
     sim::Simulator &sim_;
     Config config_;

@@ -1,26 +1,17 @@
 /**
  * @file
- * The zero-allocation storage data plane: an open-addressing
- * robin-hood mapping table from Key to a version chain, with the
- * common 1-version case stored inline in the table slot and overflow
- * chains carved from a size-class arena (arena.hh).
+ * The zero-allocation storage data plane: a map from Key to a version
+ * chain, with the common 1-version case stored inline in the table
+ * slot and overflow chains carved from a size-class arena (arena.hh).
+ * The DRAM, MFTL and VFTL backends index their keys with it.
  *
- * This replaces `std::unordered_map<Key, VersionChain>` in the DRAM,
- * MFTL and VFTL backends. Design points:
- *
- *  - Power-of-two capacity, multiplicative (Fibonacci) hashing,
- *    linear probing with robin-hood displacement: a probing insert
- *    that meets a slot closer to its home bucket than itself evicts
- *    it (forward-shifting the contiguous run), keeping probe-length
- *    variance tiny at the 7/8 max load factor.
- *  - Tombstone-free erase: deleting a key backward-shifts the
- *    following run members one slot toward their home buckets, so
- *    lookups never wade through tombstones and the table never needs
- *    an anti-tombstone rehash.
- *  - Slot layout (DRAM backend: 64 bytes, one cache line):
+ * The table itself is the shared robin-hood core
+ * (common/robin_table.hh: probe, shift-forward insert, backward-shift
+ * erase, doubling rehash); this file is the chain layer on top. The
+ * slot (DRAM backend: 64 bytes, one cache line; MFTL/VFTL: 48):
  *
  *        Key      key       8B   }
- *        u32      dist      4B   }  header: dist==0 <=> slot empty,
+ *        u32      dist      4B   }  dist==0 <=> slot empty,
  *        u16      count     2B   }  dist is probe distance + 1
  *        u16      capClass  2B   }  kInlineClass <=> entry is inline
  *        union {
@@ -28,35 +19,28 @@
  *          Entry *many     (arena block, capacity 2 << capClass)
  *        }
  *
- *    A key with one live version (the overwhelming case after
- *    watermark pruning) costs one cache line and zero pointer
- *    chases. Chains that grow past one entry move to an arena block
- *    that doubles per size class; chains that shrink back to <= 1
- *    entry return their block to the arena freelist, so steady-state
- *    put/prune churn allocates nothing.
- *  - All chain operations share ftl::chain_ops binary searches with
- *    the reference VersionChain, so semantics cannot drift
- *    (tests/store_semantics_test.cc replays both).
+ * A key with one live version (the overwhelming case after watermark
+ * pruning) costs one cache line and zero pointer chases. Chains that
+ * grow past one entry move to an arena block that doubles per size
+ * class; chains that shrink back to <= 1 entry return their block to
+ * the arena freelist, so steady-state put/prune churn allocates
+ * nothing. All chain operations share ftl::chain_ops binary searches
+ * with the reference VersionChain, so semantics cannot drift
+ * (tests/store_semantics_test.cc replays both).
  *
- * Iteration order is slot order, which differs from unordered_map
- * order — safe here because every map iteration in the backends
+ * Iteration is in slot order; every iteration in the backends
  * (watermark sweeps, rebuild scans) is order-independent and runs
  * without suspension points.
- *
- * Single-threaded by design, like the simulator that owns it.
  */
 
 #ifndef FTL_MAPPING_TABLE_HH
 #define FTL_MAPPING_TABLE_HH
 
-#include <bit>
-#include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <new>
-#include <type_traits>
 #include <utility>
 
+#include "common/robin_table.hh"
 #include "common/types.hh"
 #include "ftl/arena.hh"
 #include "ftl/version_chain.hh"
@@ -67,32 +51,7 @@ using common::Key;
 using common::Time;
 using common::Version;
 
-namespace table_detail {
-
-/** Fibonacci multiplicative hash; the table keeps the high bits. */
-inline std::uint64_t
-mixKey(Key key)
-{
-    return static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ull;
-}
-
-constexpr std::size_t kMinTableCap = 16;
-
-/** Power-of-two slot count that keeps @p keys entries under the 7/8
- *  max load. */
-inline std::size_t
-capacityFor(std::uint64_t keys)
-{
-    const std::size_t want = static_cast<std::size_t>(keys + keys / 7 + 1);
-    return std::bit_ceil(want < kMinTableCap ? kMinTableCap : want);
-}
-
-} // namespace table_detail
-
-/**
- * Open-addressing robin-hood map from Key to a descending version
- * chain. See the file comment for layout and invariants.
- */
+/** Map from Key to a descending version chain (see the file comment). */
 template <typename Loc>
 class VersionStore
 {
@@ -102,27 +61,16 @@ class VersionStore
   public:
     using Entry = VersionEntry<Loc>;
 
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-    /**
-     * @param expected_keys pre-sizes the table so that many distinct
-     * keys insert without a single rehash (0 = start minimal and
-     * grow).
-     */
+    /** Pre-sized for @p expected_keys distinct keys with no rehash
+     *  (0 = start minimal and grow). */
     explicit VersionStore(std::uint64_t expected_keys = 0)
     {
         if (expected_keys > 0)
-            rehash(table_detail::capacityFor(expected_keys));
+            table_.reserve(expected_keys);
     }
 
     VersionStore(const VersionStore &) = delete;
     VersionStore &operator=(const VersionStore &) = delete;
-
-    ~VersionStore()
-    {
-        clear();
-        ::operator delete(slots_);
-    }
 
     class ChainRef;
 
@@ -130,63 +78,26 @@ class VersionStore
     ChainRef
     find(Key key)
     {
-        const std::size_t idx = findIndex(key);
-        return idx == npos ? ChainRef{} : ChainRef{this, idx};
+        Slot *s = table_.find(key);
+        return s == nullptr ? ChainRef{} : ChainRef{this, s};
     }
 
     /** Chain for @p key, creating an empty chain when absent. */
     ChainRef
     getOrCreate(Key key)
     {
-        if ((size_ + 1) * 8 > cap_ * 7)
-            grow();
-        std::size_t i = bucketOf(key);
-        std::uint32_t dist = 1;
-        for (;;) {
-            Slot &s = slots_[i];
-            if (s.dist == 0) {
-                fillEmpty(s, key, dist);
-                return ChainRef{this, i};
-            }
-            if (s.key == key)
-                return ChainRef{this, i};
-            if (s.dist < dist) {
-                // Robin hood: this resident is closer to home than we
-                // are; shift the run right and take its slot.
-                shiftForward(i);
-                fillEmpty(slots_[i], key, dist);
-                return ChainRef{this, i};
-            }
-            i = (i + 1) & mask_;
-            ++dist;
-        }
+        return ChainRef{this, &table_.insert(key)};
     }
 
-    /**
-     * Remove a key and its chain. Backward-shift erase: the following
-     * run members move one slot toward home, leaving no tombstone.
-     */
+    /** Remove a key and its chain. */
     bool
     erase(Key key)
     {
-        const std::size_t idx = findIndex(key);
-        if (idx == npos)
+        Slot *s = table_.find(key);
+        if (s == nullptr)
             return false;
-        destroyChain(slots_[idx]);
-        std::size_t hole = idx;
-        for (;;) {
-            const std::size_t next = (hole + 1) & mask_;
-            Slot &n = slots_[next];
-            if (n.dist <= 1)
-                break;
-            Slot &h = slots_[hole];
-            h.key = n.key;
-            h.dist = n.dist - 1;
-            movePayload(h, n);
-            hole = next;
-        }
-        slots_[hole].dist = 0;
-        --size_;
+        truncate(*s, 0); // returns an overflow block to the arena
+        table_.erase(*s);
         return true;
     }
 
@@ -194,36 +105,22 @@ class VersionStore
     void
     clear()
     {
-        for (std::size_t i = 0; i < cap_; ++i) {
-            if (slots_[i].dist != 0) {
-                destroyChain(slots_[i]);
-                slots_[i].dist = 0;
-            }
-        }
-        size_ = 0;
+        table_.forEach([this](Slot &s) { truncate(s, 0); });
+        table_.clear();
     }
 
-    /**
-     * Pre-size for @p keys distinct keys so bulk load performs no
-     * rehashes. Never shrinks.
-     */
-    void
-    reserveKeys(std::uint64_t keys)
-    {
-        const std::size_t want = table_detail::capacityFor(keys);
-        if (want > cap_)
-            rehash(want);
-    }
+    /** Pre-size for @p keys distinct keys (no rehash). Never shrinks. */
+    void reserveKeys(std::uint64_t keys) { table_.reserve(keys); }
 
-    std::size_t size() const { return size_; }
-    std::size_t capacity() const { return cap_; }
+    std::size_t size() const { return table_.size(); }
+    std::size_t capacity() const { return table_.capacity(); }
 
     /** Number of live versions for @p key (0 when absent). */
     std::size_t
     versionCount(Key key) const
     {
-        const std::size_t idx = findIndex(key);
-        return idx == npos ? 0 : slots_[idx].count;
+        const Slot *s = table_.find(key);
+        return s == nullptr ? 0 : s->count;
     }
 
     /**
@@ -235,18 +132,14 @@ class VersionStore
     void
     forEach(Fn &&fn)
     {
-        for (std::size_t i = 0; i < cap_; ++i) {
-            if (slots_[i].dist != 0)
-                fn(slots_[i].key, ChainRef{this, i});
-        }
+        table_.forEach([&](Slot &s) { fn(s.key, ChainRef{this, &s}); });
     }
 
     /** Exact bytes held: slot array + arena slabs. */
     std::uint64_t
     memoryBytes() const
     {
-        return static_cast<std::uint64_t>(cap_) * sizeof(Slot) +
-               arena_.slabBytes();
+        return table_.slotBytes() + arena_.slabBytes();
     }
 
     /**
@@ -262,30 +155,23 @@ class VersionStore
 
         explicit operator bool() const { return store_ != nullptr; }
 
-        bool empty() const { return slot().count == 0; }
-        std::size_t size() const { return slot().count; }
+        bool empty() const { return slot_->count == 0; }
+        std::size_t size() const { return slot_->count; }
 
         /** Youngest entry; chain must be non-empty. */
         const Entry &youngest() const { return begin()[0]; }
 
-        const Entry *
-        begin() const
-        {
-            return VersionStore::entriesOf(slot());
-        }
-        const Entry *end() const { return begin() + slot().count; }
+        const Entry *begin() const { return entries(); }
+        const Entry *end() const { return entries() + size(); }
 
         /** Same contract as VersionChain::insert. */
         bool
         insert(Version v, Loc loc)
         {
-            Slot &s = slot();
-            Entry *e = VersionStore::entriesOf(s);
-            const std::size_t idx =
-                chain_ops::firstLeq(e, s.count, v);
-            if (idx < s.count && e[idx].version == v)
+            const std::size_t idx = firstLeq(v);
+            if (idx < size() && entries()[idx].version == v)
                 return false;
-            store_->insertAt(s, idx, v, std::move(loc));
+            store_->insertAt(*slot_, idx, v, std::move(loc));
             return true;
         }
 
@@ -293,16 +179,14 @@ class VersionStore
         bool
         append(Version v, Loc loc)
         {
-            Slot &s = slot();
-            if (s.count > 0) {
-                const Entry *e = VersionStore::entriesOf(s);
-                const Version tail = e[s.count - 1].version;
+            if (!empty()) {
+                const Version tail = entries()[size() - 1].version;
                 if (tail == v)
                     return false;
                 if (tail < v)
                     return insert(v, std::move(loc));
             }
-            store_->insertAt(s, s.count, v, std::move(loc));
+            store_->insertAt(*slot_, size(), v, std::move(loc));
             return true;
         }
 
@@ -310,90 +194,73 @@ class VersionStore
         const Entry *
         findAt(Version at) const
         {
-            const Slot &s = slot();
-            const Entry *e = VersionStore::entriesOf(s);
-            const std::size_t idx =
-                chain_ops::firstLeq(e, s.count, at);
-            return idx < s.count ? &e[idx] : nullptr;
+            const std::size_t idx = firstLeq(at);
+            return idx < size() ? &entries()[idx] : nullptr;
         }
 
         /** Mutable entry for an exact version, or nullptr. */
         Entry *
-        find(Version v)
+        find(Version v) const
         {
-            Slot &s = slot();
-            Entry *e = VersionStore::entriesOf(s);
-            const std::size_t idx =
-                chain_ops::firstLeq(e, s.count, v);
-            if (idx < s.count && e[idx].version == v)
-                return &e[idx];
-            return nullptr;
+            const std::size_t idx = firstLeq(v);
+            return idx < size() && entries()[idx].version == v
+                       ? &entries()[idx]
+                       : nullptr;
         }
 
-        bool
-        contains(Version v) const
-        {
-            const Slot &s = slot();
-            const Entry *e = VersionStore::entriesOf(s);
-            const std::size_t idx =
-                chain_ops::firstLeq(e, s.count, v);
-            return idx < s.count && e[idx].version == v;
-        }
+        bool contains(Version v) const { return find(v) != nullptr; }
 
         /** Same contract as VersionChain::pruneBelowWatermark. */
         template <typename OnDrop>
         void
         pruneBelowWatermark(Time watermark, OnDrop &&on_drop)
         {
-            Slot &s = slot();
-            Entry *e = VersionStore::entriesOf(s);
-            const std::size_t keep =
-                chain_ops::firstTsLeq(e, s.count, watermark);
-            const std::size_t first_drop = keep + 1;
-            if (first_drop >= s.count)
+            const std::size_t first_drop =
+                chain_ops::firstTsLeq(entries(), size(), watermark) + 1;
+            if (first_drop >= size())
                 return;
-            for (std::size_t i = first_drop; i < s.count; ++i)
-                on_drop(e[i]);
-            store_->truncate(s, first_drop);
+            for (std::size_t i = first_drop; i < size(); ++i)
+                on_drop(entries()[i]);
+            store_->truncate(*slot_, first_drop);
         }
 
         /** Same contract as VersionChain::remove. */
         bool
         remove(Version v)
         {
-            Slot &s = slot();
-            Entry *e = VersionStore::entriesOf(s);
-            const std::size_t idx =
-                chain_ops::firstLeq(e, s.count, v);
-            if (idx < s.count && e[idx].version == v) {
-                store_->removeAt(s, idx);
-                return true;
-            }
-            return false;
+            const Entry *e = find(v);
+            if (e != nullptr)
+                store_->removeAt(*slot_,
+                                 static_cast<std::size_t>(e - entries()));
+            return e != nullptr;
         }
 
         /** Same contract as VersionChain::relocate. */
         bool
         relocate(Version v, Loc loc)
         {
-            if (Entry *e = find(v)) {
+            Entry *e = find(v);
+            if (e != nullptr)
                 e->loc = std::move(loc);
-                return true;
-            }
-            return false;
+            return e != nullptr;
         }
 
       private:
         friend class VersionStore;
-        ChainRef(VersionStore *store, std::size_t index)
-            : store_(store), index_(index)
+        ChainRef(VersionStore *store, Slot *slot) : store_(store), slot_(slot)
         {
         }
 
-        Slot &slot() const { return store_->slots_[index_]; }
+        Entry *entries() const { return VersionStore::entriesOf(*slot_); }
+
+        std::size_t
+        firstLeq(Version v) const
+        {
+            return chain_ops::firstLeq(entries(), size(), v);
+        }
 
         VersionStore *store_ = nullptr;
-        std::size_t index_ = 0;
+        Slot *slot_ = nullptr;
     };
 
   private:
@@ -402,8 +269,11 @@ class VersionStore
     /** capClass value marking "entry lives inline in the slot". */
     static constexpr std::uint16_t kInlineClass = 0xffff;
 
+    /** Table slot; the hooks are the common::RobinTable contract. */
     struct Slot
     {
+        using KeyType = Key;
+
         Key key;
         std::uint32_t dist;     // probe distance + 1; 0 = empty
         std::uint16_t count;    // live versions in this chain
@@ -414,16 +284,53 @@ class VersionStore
             Entry one;
             Entry *many;
         } rep;
+
+        static std::uint64_t hash(Key k) { return common::FibonacciHash{}(k); }
+
+        static void
+        init(Slot &s)
+        {
+            s.count = 0;
+            s.capClass = kInlineClass;
+        }
+
+        /**
+         * Inline entries move by move-construction; overflow chains
+         * just transfer the block pointer.
+         */
+        static void
+        relocate(Slot &dst, Slot &src)
+        {
+            dst.count = src.count;
+            dst.capClass = src.capClass;
+            if (src.capClass != kInlineClass) {
+                dst.rep.many = src.rep.many;
+            } else if (src.count == 1) {
+                new (&dst.rep.one) Entry(std::move(src.rep.one));
+                src.rep.one.~Entry();
+            }
+        }
+
+        /** Destroy the entries. An overflow block goes back to the
+         *  arena through truncate; at teardown it is freed with the
+         *  arena's slabs. */
+        static void
+        destroy(Slot &s)
+        {
+            Entry *e = entriesOf(s);
+            for (std::size_t i = 0; i < s.count; ++i)
+                e[i].~Entry();
+        }
     };
 
+  public:
+    /** Bytes per table slot: 64 for the DRAM backend, 48 for the
+     *  log-structured ones (static_asserted where each is used). */
+    static constexpr std::size_t kSlotBytes = sizeof(Slot);
+
+  private:
     static Entry *
     entriesOf(Slot &s)
-    {
-        return s.capClass == kInlineClass ? &s.rep.one : s.rep.many;
-    }
-
-    static const Entry *
-    entriesOf(const Slot &s)
     {
         return s.capClass == kInlineClass ? &s.rep.one : s.rep.many;
     }
@@ -434,40 +341,6 @@ class VersionStore
         return s.capClass == kInlineClass
                    ? 1u
                    : ChainArena<Entry>::capacityOf(s.capClass);
-    }
-
-    void
-    fillEmpty(Slot &s, Key key, std::uint32_t dist)
-    {
-        s.key = key;
-        s.dist = dist;
-        s.count = 0;
-        s.capClass = kInlineClass;
-        ++size_;
-    }
-
-    std::size_t
-    bucketOf(Key key) const
-    {
-        return table_detail::mixKey(key) >> shift_;
-    }
-
-    std::size_t
-    findIndex(Key key) const
-    {
-        if (cap_ == 0)
-            return npos;
-        std::size_t i = bucketOf(key);
-        std::uint32_t dist = 1;
-        for (;;) {
-            const Slot &s = slots_[i];
-            if (s.dist < dist) // includes empty (dist == 0)
-                return npos;
-            if (s.key == key)
-                return i;
-            i = (i + 1) & mask_;
-            ++dist;
-        }
     }
 
     // --- chain storage management ------------------------------------
@@ -498,12 +371,11 @@ class VersionStore
         Entry *e = entriesOf(s);
         for (std::size_t j = idx + 1; j < s.count; ++j)
             e[j - 1] = std::move(e[j]);
-        e[s.count - 1].~Entry();
-        --s.count;
-        maybeShrink(s);
+        truncate(s, s.count - 1u);
     }
 
-    /** Destroy entries [from, count) — the prune tail drop. */
+    /** Destroy entries [from, count) — the prune tail drop; an overflow
+     *  chain left with <= 1 entry returns its block. */
     void
     truncate(Slot &s, std::size_t from)
     {
@@ -551,255 +423,10 @@ class VersionStore
         arena_.deallocate(blk, cls);
     }
 
-    void
-    destroyChain(Slot &s)
-    {
-        Entry *e = entriesOf(s);
-        for (std::size_t i = 0; i < s.count; ++i)
-            e[i].~Entry();
-        if (s.capClass != kInlineClass)
-            arena_.deallocate(s.rep.many, s.capClass);
-        s.count = 0;
-        s.capClass = kInlineClass;
-    }
-
-    /**
-     * Move src's chain payload into dst (dst's payload must be dead).
-     * Inline entries move by move-construction; overflow chains just
-     * transfer the block pointer. src is left empty.
-     */
-    static void
-    movePayload(Slot &dst, Slot &src)
-    {
-        dst.count = src.count;
-        dst.capClass = src.capClass;
-        if (src.capClass == kInlineClass) {
-            if (src.count == 1) {
-                new (&dst.rep.one) Entry(std::move(src.rep.one));
-                src.rep.one.~Entry();
-            }
-        } else {
-            dst.rep.many = src.rep.many;
-        }
-        src.count = 0;
-        src.capClass = kInlineClass;
-    }
-
-    // --- table growth / displacement ---------------------------------
-
-    /**
-     * Make slot @p pos a hole by moving the contiguous run starting
-     * there one step right (into the first empty slot), bumping each
-     * displaced resident's probe distance.
-     */
-    void
-    shiftForward(std::size_t pos)
-    {
-        std::size_t e = pos;
-        while (slots_[e].dist != 0)
-            e = (e + 1) & mask_;
-        while (e != pos) {
-            const std::size_t p = (e + cap_ - 1) & mask_;
-            Slot &dst = slots_[e];
-            Slot &src = slots_[p];
-            dst.key = src.key;
-            dst.dist = src.dist + 1;
-            movePayload(dst, src);
-            e = p;
-        }
-        slots_[pos].dist = 0;
-    }
-
-    void
-    grow()
-    {
-        rehash(cap_ == 0 ? table_detail::kMinTableCap : cap_ * 2);
-    }
-
-    void
-    rehash(std::size_t new_cap)
-    {
-        Slot *old = slots_;
-        const std::size_t old_cap = cap_;
-        slots_ = allocSlots(new_cap);
-        cap_ = new_cap;
-        mask_ = new_cap - 1;
-        shift_ = static_cast<std::uint32_t>(
-            64 - std::countr_zero(new_cap));
-        size_ = 0;
-        for (std::size_t i = 0; i < old_cap; ++i) {
-            Slot &s = old[i];
-            if (s.dist == 0)
-                continue;
-            // Capacity is already final, so this cannot re-enter
-            // grow(); the new slot's payload is empty — overwrite it.
-            ChainRef ref = getOrCreate(s.key);
-            movePayload(ref.slot(), s);
-        }
-        ::operator delete(old);
-    }
-
-    Slot *
-    allocSlots(std::size_t n)
-    {
-        auto *p = static_cast<Slot *>(::operator new(n * sizeof(Slot)));
-        // Zero-fill: dist == 0 marks every slot empty; union bytes are
-        // raw until a chain is constructed.
-        std::memset(static_cast<void *>(p), 0, n * sizeof(Slot));
-        return p;
-    }
-
-    Slot *slots_ = nullptr;
-    std::size_t cap_ = 0;
-    std::size_t mask_ = 0;
-    std::uint32_t shift_ = 64; // >> 64 is UB; guarded by cap_ == 0
-    std::size_t size_ = 0;
+    // Declared first so it outlives the table's teardown, which
+    // destroys entries held in arena blocks.
     ChainArena<Entry> arena_;
-};
-
-/**
- * Robin-hood map from Key to a small trivially copyable payload: the
- * VersionStore table discipline (Fibonacci hash, linear probing with
- * robin-hood displacement, 7/8 max load) with the payload inline in
- * the slot and no erase. A new key's payload starts value-initialized
- * (all-zero slots are empty slots). Holds a SEMEL primary's per-key
- * records (semel::KeyRecord) with zero steady-state allocations.
- */
-template <typename V>
-class KeyMap
-{
-    static_assert(std::is_trivially_copyable_v<V>);
-
-    struct Slot
-    {
-        Key key;
-        std::uint32_t dist; // probe distance + 1; 0 = empty
-        V value;
-    };
-
-  public:
-    /** Bytes per table slot (key, probe distance, payload). */
-    static constexpr std::size_t kSlotBytes = sizeof(Slot);
-
-    KeyMap() = default;
-    KeyMap(const KeyMap &) = delete;
-    KeyMap &operator=(const KeyMap &) = delete;
-
-    ~KeyMap() { ::operator delete(slots_); }
-
-    /** Payload of @p key, or nullptr when absent. */
-    V *
-    find(Key key)
-    {
-        if (cap_ == 0)
-            return nullptr;
-        std::size_t i = bucketOf(key);
-        std::uint32_t dist = 1;
-        for (;;) {
-            Slot &s = slots_[i];
-            if (s.dist < dist) // includes empty (dist == 0)
-                return nullptr;
-            if (s.key == key)
-                return &s.value;
-            i = (i + 1) & mask_;
-            ++dist;
-        }
-    }
-
-    const V *
-    find(Key key) const
-    {
-        return const_cast<KeyMap *>(this)->find(key);
-    }
-
-    /**
-     * Payload of @p key, inserting a value-initialized one when
-     * absent. A call may grow the table or displace other keys, so
-     * it invalidates pointers and references from earlier calls.
-     */
-    V &
-    operator[](Key key)
-    {
-        if ((size_ + 1) * 8 > cap_ * 7)
-            rehash(cap_ == 0 ? table_detail::kMinTableCap : cap_ * 2);
-        std::size_t i = bucketOf(key);
-        Slot carry{key, 1, V{}};
-        V *placed = nullptr;
-        for (;;) {
-            Slot &s = slots_[i];
-            if (s.dist == 0) {
-                s = carry;
-                ++size_;
-                return placed != nullptr ? *placed : s.value;
-            }
-            if (s.key == key)
-                return s.value;
-            if (s.dist < carry.dist) {
-                // Robin hood: take the richer resident's slot and
-                // carry it on down the run.
-                std::swap(s, carry);
-                if (placed == nullptr)
-                    placed = &s.value;
-            }
-            i = (i + 1) & mask_;
-            ++carry.dist;
-        }
-    }
-
-    /** Drop every entry; capacity is retained. */
-    void
-    clear()
-    {
-        if (cap_ > 0)
-            std::memset(static_cast<void *>(slots_), 0,
-                        cap_ * sizeof(Slot));
-        size_ = 0;
-    }
-
-    /** Pre-size for @p keys inserts with no rehash. Never shrinks. */
-    void
-    reserve(std::uint64_t keys)
-    {
-        const std::size_t want = table_detail::capacityFor(keys);
-        if (want > cap_)
-            rehash(want);
-    }
-
-    std::size_t size() const { return size_; }
-
-  private:
-    std::size_t
-    bucketOf(Key key) const
-    {
-        return table_detail::mixKey(key) >> shift_;
-    }
-
-    void
-    rehash(std::size_t new_cap)
-    {
-        Slot *old = slots_;
-        const std::size_t old_cap = cap_;
-        slots_ = static_cast<Slot *>(
-            ::operator new(new_cap * sizeof(Slot)));
-        std::memset(static_cast<void *>(slots_), 0,
-                    new_cap * sizeof(Slot));
-        cap_ = new_cap;
-        mask_ = new_cap - 1;
-        shift_ = static_cast<std::uint32_t>(
-            64 - std::countr_zero(new_cap));
-        size_ = 0;
-        for (std::size_t i = 0; i < old_cap; ++i) {
-            if (old[i].dist != 0)
-                (*this)[old[i].key] = old[i].value;
-        }
-        ::operator delete(old);
-    }
-
-    Slot *slots_ = nullptr;
-    std::size_t cap_ = 0;
-    std::size_t mask_ = 0;
-    std::uint32_t shift_ = 64;
-    std::size_t size_ = 0;
+    common::RobinTable<Slot> table_;
 };
 
 } // namespace ftl

@@ -106,6 +106,8 @@ class MvLog : public KvBackend
     };
 
     using Store = VersionStore<Loc>;
+    static_assert(Store::kSlotBytes == 48,
+                  "a logged key with one version takes 48 bytes");
     using ChainRef = typename Store::ChainRef;
 
     sim::Task<void> flush(std::vector<Pending> batch);

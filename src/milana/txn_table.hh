@@ -16,6 +16,14 @@
  * its stale undecided entries (preparedBefore); a backup's wait for
  * the primary's outcome records.
  *
+ * The undecided entries, the bounded set of in-flight transactions,
+ * live in the robin-hood table (common::RobinMap), where any insert or
+ * erase may move them: a pointer from fold() or find() is used only
+ * before the caller's next suspension (resolveOrphan copies the
+ * participants; recoverAsPrimary re-finds after each await).
+ * preparedBefore() and forEach() sort them into TxnId order. The
+ * decided entries, which grow for the whole run, stay in a std::map.
+ *
  * The per-key state lives in one record per key on the shard's
  * primary only, in DRAM (semel::KeyRecord, semel/server.hh):
  *   - ts_latestRead:      newest begin-timestamp that read the key;
@@ -33,6 +41,7 @@
 #include <map>
 #include <vector>
 
+#include "common/robin_table.hh"
 #include "common/types.hh"
 #include "semel/messages.hh"
 
@@ -54,6 +63,18 @@ struct TxnEntry : ReplicateTxnRecord
     Time preparedAt = 0;
 };
 
+/** Hash of a TxnId: a client's serials are dense, so pack them under
+ *  the client id. */
+struct TxnIdHash
+{
+    std::uint64_t
+    operator()(const TxnId &txn) const
+    {
+        return common::FibonacciHash{}(
+            (static_cast<std::uint64_t>(txn.client) << 32) + txn.serial);
+    }
+};
+
 class TxnTable
 {
   public:
@@ -69,7 +90,7 @@ class TxnTable
 
     /** Undecided entry: prepared, or claimed by a decision that is
      *  still being applied. */
-    TxnEntry *find(const TxnId &txn);
+    TxnEntry *find(const TxnId &txn) { return undecided_.find(txn); }
 
     /** Status of a transaction: undecided entry, decided entry, or
      *  Unknown. Feeds the CTP status queries. */
@@ -83,13 +104,14 @@ class TxnTable
     const std::map<TxnId, TxnEntry> &decided() const { return decided_; }
 
     /** Visit every entry, one per transaction: the undecided ones,
-     *  then the decided ones, each in TxnId order. */
+     *  then the decided ones, each in TxnId order. @p fn must not
+     *  change the table. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &[id, entry] : undecided_)
-            fn(entry);
+        for (const TxnEntry *entry : undecidedInOrder())
+            fn(*entry);
         for (const auto &[id, entry] : decided_)
             fn(entry);
     }
@@ -98,7 +120,9 @@ class TxnTable
     std::size_t size() const { return undecided_.size(); }
 
   private:
-    std::map<TxnId, TxnEntry> undecided_;
+    std::vector<const TxnEntry *> undecidedInOrder() const;
+
+    common::RobinMap<TxnId, TxnEntry, TxnIdHash> undecided_;
     std::map<TxnId, TxnEntry> decided_;
 };
 

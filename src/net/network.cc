@@ -21,24 +21,24 @@ Network::sampleDelay()
                     static_cast<Duration>(std::llround(d)));
 }
 
-Duration
-Network::sampleDelay(NodeId from, NodeId to)
+std::optional<Duration>
+Network::leg(NodeId from, NodeId to)
 {
+    if (nodeDown(from) || nodeDown(to))
+        return std::nullopt;
+    Link &link = links_[linkKey(from, to)];
+    if (link.broken)
+        return std::nullopt;
     Duration delay = sampleDelay();
-    const double factor = delayFactor(from, to);
+    const double factor = link.factorSet ? link.factor : delayFactorAll_;
     if (factor != 1.0)
         delay = std::max(config_.minLatency,
                          static_cast<Duration>(std::llround(
                              static_cast<double>(delay) * factor)));
-    auto it = linkDelay_.find({from, to});
-    if (it == linkDelay_.end()) {
-        const std::string name = "net.link." + std::to_string(from) +
-                                 "-" + std::to_string(to) + ".delay";
-        it = linkDelay_.emplace(std::make_pair(from, to),
-                                &stats_.histogram(name))
-                 .first;
-    }
-    it->second->record(delay);
+    if (link.delay == nullptr)
+        link.delay = &stats_.histogram("net.link." + std::to_string(from) +
+                                       "-" + std::to_string(to) + ".delay");
+    link.delay->record(delay);
     return delay;
 }
 
@@ -66,10 +66,7 @@ Network::setLinkBroken(NodeId a, NodeId b, bool broken)
 void
 Network::setLinkBrokenOneWay(NodeId from, NodeId to, bool broken)
 {
-    if (broken)
-        brokenLinks_.insert({from, to});
-    else
-        brokenLinks_.erase({from, to});
+    links_[linkKey(from, to)].broken = broken;
 }
 
 bool
@@ -77,7 +74,8 @@ Network::deliverable(NodeId from, NodeId to) const
 {
     if (nodeDown(from) || nodeDown(to))
         return false;
-    return !brokenLinks_.count({from, to});
+    const Link *link = links_.find(linkKey(from, to));
+    return link == nullptr || !link->broken;
 }
 
 void
@@ -89,20 +87,20 @@ Network::setDelayFactor(double factor)
 void
 Network::setLinkDelayFactor(NodeId a, NodeId b, double factor)
 {
-    if (factor == 1.0) {
-        linkDelayFactor_.erase({a, b});
-        linkDelayFactor_.erase({b, a});
-        return;
+    // 1.0 clears the link's own factor: it follows the global one.
+    for (const std::uint64_t key : {linkKey(a, b), linkKey(b, a)}) {
+        Link &link = links_[key];
+        link.factorSet = factor != 1.0;
+        link.factor = factor;
     }
-    linkDelayFactor_[{a, b}] = factor;
-    linkDelayFactor_[{b, a}] = factor;
 }
 
 double
 Network::delayFactor(NodeId from, NodeId to) const
 {
-    const auto it = linkDelayFactor_.find({from, to});
-    return it != linkDelayFactor_.end() ? it->second : delayFactorAll_;
+    const Link *link = links_.find(linkKey(from, to));
+    return link != nullptr && link->factorSet ? link->factor
+                                              : delayFactorAll_;
 }
 
 } // namespace net

@@ -26,13 +26,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "common/random.hh"
+#include "common/robin_table.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
@@ -85,10 +84,6 @@ class Network
 
     /** Sample one message delay. */
     Duration sampleDelay();
-
-    /** Sample a delay for the @p from -> @p to leg and record it in
-     *  the per-link histogram `net.link.<from>-<to>.delay`. */
-    Duration sampleDelay(NodeId from, NodeId to);
 
     /** Crash / restart a node. */
     void setNodeDown(NodeId node, bool down);
@@ -143,13 +138,14 @@ class Network
         rpc.setArg(from);
         rpc.setArg2(to);
         const MessageHeader header{common::currentTraceContext()};
-        if (!deliverable(from, to)) {
+        const std::optional<Duration> request = leg(from, to);
+        if (!request.has_value()) {
             co_await sim::sleepFor(sim_, config_.rpcTimeout);
             stats_.counter("net.request_lost").inc();
             rpc.setTag("request_lost");
             co_return std::nullopt;
         }
-        co_await sim::sleepFor(sim_, sampleDelay(from, to));
+        co_await sim::sleepFor(sim_, *request);
         // Re-check on arrival: the destination may have crashed while
         // the request was in flight (the unexecuted handler is
         // discarded, as a dropped packet would be).
@@ -163,13 +159,14 @@ class Network
         // handler, as a real server's RPC layer would.
         common::TraceContextScope deliverScope(header.trace);
         Resp resp = co_await std::move(handler);
-        if (!deliverable(to, from)) {
+        const std::optional<Duration> response = leg(to, from);
+        if (!response.has_value()) {
             co_await sim::sleepFor(sim_, config_.rpcTimeout);
             stats_.counter("net.response_lost").inc();
             rpc.setTag("response_lost");
             co_return std::nullopt;
         }
-        co_await sim::sleepFor(sim_, sampleDelay(to, from));
+        co_await sim::sleepFor(sim_, *response);
         co_return resp;
     }
 
@@ -179,11 +176,11 @@ class Network
     send(NodeId from, NodeId to, Deliver deliver)
     {
         stats_.counter("net.sends").inc();
-        if (!deliverable(from, to))
+        const std::optional<Duration> delay = leg(from, to);
+        if (!delay.has_value())
             return;
         const MessageHeader header{common::currentTraceContext()};
-        const Duration delay = sampleDelay(from, to);
-        sim_.schedule(delay,
+        sim_.schedule(*delay,
                       [this, to, header, deliver = std::move(deliver)] {
                           if (nodeDown(to))
                               return;
@@ -193,18 +190,37 @@ class Network
     }
 
   private:
+    /** State of one directed link, created on first use. */
+    struct Link
+    {
+        bool broken = false;
+        /** A factor of 0 is legal, so "set" is its own flag. */
+        bool factorSet = false;
+        double factor = 1.0;
+        /** `net.link.<from>-<to>.delay`, made on the first delivered
+         *  message; StatSet map nodes are stable. */
+        common::Histogram *delay = nullptr;
+    };
+
+    static std::uint64_t
+    linkKey(NodeId from, NodeId to)
+    {
+        return (static_cast<std::uint64_t>(from) << 32) | to;
+    }
+
+    /** Sample the delay of one @p from -> @p to message and record
+     *  it in the link's histogram, or nullopt when the leg drops the
+     *  message. One probe of the link table. */
+    std::optional<Duration> leg(NodeId from, NodeId to);
+
     sim::Simulator &sim_;
     NetConfig config_;
     common::Rng rng_;
     std::vector<bool> down_;
-    /** Directed: (from, to) present = that leg drops messages. */
-    std::set<std::pair<NodeId, NodeId>> brokenLinks_;
     double delayFactorAll_ = 1.0;
-    std::map<std::pair<NodeId, NodeId>, double> linkDelayFactor_;
+    common::RobinMap<std::uint64_t, Link> links_;
     common::StatSet stats_;
     common::Tracer tracer_;
-    /** Cached per-link histograms; StatSet map nodes are stable. */
-    std::map<std::pair<NodeId, NodeId>, common::Histogram *> linkDelay_;
 };
 
 } // namespace net

@@ -17,7 +17,7 @@
  * (idempotence), and serves reads from the named snapshot version.
  *
  * Per-key DRAM state is one KeyRecord per key in one robin-hood table
- * (ftl::KeyMap): SEMEL's newest committed stamp plus the MILANA
+ * (common::RobinMap): SEMEL's newest committed stamp plus the MILANA
  * primary's OCC state (section 4.1). A MILANA server keeps records on
  * the shard's primary only; a SEMEL backup notes the stamps it applies.
  *
@@ -34,10 +34,10 @@
 #include <memory>
 #include <vector>
 
+#include "common/robin_table.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "ftl/kv_backend.hh"
-#include "ftl/mapping_table.hh"
 #include "net/network.hh"
 #include "semel/messages.hh"
 #include "sim/sync.hh"
@@ -112,7 +112,7 @@ class KeyRecord
     ClientId ownerClient_ = 0;
 };
 
-using KeyRecords = ftl::KeyMap<KeyRecord>;
+using KeyRecords = common::RobinMap<common::Key, KeyRecord>;
 static_assert(KeyRecords::kSlotBytes <= 64,
               "a key's record must fit one cache line");
 

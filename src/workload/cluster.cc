@@ -105,7 +105,8 @@ Cluster::Cluster(const ClusterConfig &config)
       shardMap_(config.numShards),
       master_(shardMap_)
 {
-    // Storage nodes: node id = shard * replicas + replica.
+    // Storage nodes: node id = shard * replicas + replica, which is
+    // also the node's index in servers_.
     for (common::ShardId shard = 0; shard < config_.numShards; ++shard) {
         std::vector<common::NodeId> replicas;
         for (std::uint32_t r = 0; r < config_.replicasPerShard; ++r) {
@@ -416,11 +417,8 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
 milana::MilanaServer &
 Cluster::primary(common::ShardId shard)
 {
-    auto *server = dynamic_cast<milana::MilanaServer *>(
-        directory_.at(master_.primaryOf(shard)));
-    if (server == nullptr)
-        PANIC("shard " << shard << " has no primary");
-    return *server;
+    // servers_ is indexed by node id (see the constructor).
+    return *servers_.at(master_.primaryOf(shard));
 }
 
 void
@@ -447,11 +445,9 @@ Cluster::populate()
                 const auto shard =
                     self->master_.shardMap().shardOf(key);
                 for (common::NodeId node :
-                     self->master_.replicasOf(shard)) {
-                    auto *server = dynamic_cast<milana::MilanaServer *>(
-                        self->directory_.at(node));
-                    co_await server->loadKey(key, "init", load_version);
-                }
+                     self->master_.replicasOf(shard))
+                    co_await self->servers_[node]->loadKey(key, "init",
+                                                           load_version);
             }
             --*remaining;
         }(this, w, workers, remaining));
@@ -602,10 +598,7 @@ Cluster::applyFault(const common::FaultSpec &fault, bool start)
     using common::FaultKind;
     const auto deviceFor =
         [this](common::NodeId node) -> flash::SsdDevice * {
-        for (std::size_t i = 0; i < servers_.size(); ++i)
-            if (servers_[i]->nodeId() == node)
-                return devices_[i].get();
-        return nullptr;
+        return node < devices_.size() ? devices_[node].get() : nullptr;
     };
 
     switch (fault.kind) {

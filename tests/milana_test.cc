@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -1171,4 +1173,42 @@ TEST(TxnTable, PreparedBeforeListsUndecidedInTxnIdOrder)
     EXPECT_EQ(table.preparedBefore(1000),
               (std::vector<semel::TxnId>{{7, 1}, {7, 5}, {7, 6}}));
     EXPECT_TRUE(table.preparedBefore(10).empty());
+
+    // Many prepares from several clients, folded out of TxnId order
+    // (enough to rehash the undecided set), then a random half
+    // decided: both listings still come out in TxnId order.
+    milana::TxnTable big;
+    std::vector<semel::TxnId> ids;
+    for (common::ClientId client = 1; client <= 8; ++client)
+        for (std::uint64_t serial = 1; serial <= 150; ++serial)
+            ids.push_back({client, serial});
+    std::mt19937_64 rng(5);
+    std::shuffle(ids.begin(), ids.end(), rng);
+    for (const semel::TxnId &id : ids)
+        big.fold(milana::TxnEntry{{semel::TxnStatus::Prepared, id,
+                                   common::Version{100, 7}, kWrites, {0}},
+                                  1});
+    std::vector<semel::TxnId> open;
+    std::vector<semel::TxnId> decided;
+    for (const semel::TxnId &id : ids) {
+        if (rng() % 2 == 0) {
+            open.push_back(id);
+            continue;
+        }
+        big.fold(milana::TxnEntry{{rng() % 2 == 0
+                                       ? semel::TxnStatus::Committed
+                                       : semel::TxnStatus::Aborted,
+                                   id, common::Version{100, 7}, {}, {}},
+                                  0});
+        decided.push_back(id);
+    }
+    std::sort(open.begin(), open.end());
+    std::sort(decided.begin(), decided.end());
+    ASSERT_EQ(big.size(), open.size());
+    EXPECT_EQ(big.preparedBefore(2), open);
+    std::vector<semel::TxnId> visited;
+    big.forEach([&](const milana::TxnEntry &e) { visited.push_back(e.txn); });
+    std::vector<semel::TxnId> expected = open;
+    expected.insert(expected.end(), decided.begin(), decided.end());
+    EXPECT_EQ(visited, expected);
 }

@@ -166,3 +166,100 @@ TEST(Network, StatsCountTraffic)
     EXPECT_EQ(net.stats().counterValue("net.calls"), 1u);
     EXPECT_EQ(net.stats().counterValue("net.request_lost"), 0u);
 }
+
+TEST(Network, OneWayPartitionDropsOnlyItsLeg)
+{
+    sim::Simulator s;
+    Network net(s, fastConfig(), Rng(11));
+    net.setLinkBrokenOneWay(1, 2, true);
+    EXPECT_FALSE(net.deliverable(1, 2));
+    EXPECT_TRUE(net.deliverable(2, 1));
+
+    // 2 -> 1 reaches the handler, but its response leg is the cut one.
+    bool ran = false;
+    std::optional<int> got = 7;
+    sim::spawn([](Network *net, bool *ran,
+                  std::optional<int> *got) -> sim::Task<void> {
+        *got = co_await net->callTyped<int>(
+            2, 1, [](bool *ran) -> sim::Task<int> {
+                *ran = true;
+                co_return 1;
+            }(ran));
+    }(&net, &ran, &got));
+    // 1 -> 2 is dropped before it leaves; one-way sends likewise.
+    bool sent_12 = false, sent_21 = false;
+    net.send(1, 2, [&] { sent_12 = true; });
+    net.send(2, 1, [&] { sent_21 = true; });
+    s.run();
+    EXPECT_TRUE(ran);
+    EXPECT_FALSE(got.has_value());
+    EXPECT_FALSE(sent_12);
+    EXPECT_TRUE(sent_21);
+    EXPECT_EQ(net.stats().counterValue("net.response_lost"), 1u);
+    EXPECT_EQ(net.stats().counterValue("net.request_lost"), 0u);
+
+    net.setLinkBrokenOneWay(1, 2, false);
+    EXPECT_TRUE(net.deliverable(1, 2));
+}
+
+TEST(Network, LinkDelayFactorOverridesGlobalUntilReset)
+{
+    sim::Simulator s;
+    Network net(s, fastConfig(), Rng(12));
+    net.setDelayFactor(2.0);
+    // 0 is a legal factor: the link's legs fall to the latency floor.
+    net.setLinkDelayFactor(1, 2, 0.0);
+    EXPECT_EQ(net.delayFactor(1, 2), 0.0);
+    EXPECT_EQ(net.delayFactor(2, 1), 0.0);
+    EXPECT_EQ(net.delayFactor(1, 3), 2.0);
+
+    common::Time link_done = 0;
+    common::Time other_done = 0;
+    sim::spawn([](sim::Simulator *s, Network *net, common::Time *link_done,
+                  common::Time *other_done) -> sim::Task<void> {
+        (void)co_await net->callTyped<int>(1, 2, echoHandler(1));
+        *link_done = s->now();
+        (void)co_await net->callTyped<int>(1, 3, echoHandler(1));
+        *other_done = s->now() - *link_done;
+    }(&s, &net, &link_done, &other_done));
+    s.run();
+    EXPECT_EQ(link_done, 2 * 5 * kMicrosecond);    // minLatency legs
+    EXPECT_EQ(other_done, 2 * 100 * kMicrosecond); // 2x the 50 us mean
+
+    // 1.0 clears the link's own factor: it follows the global again.
+    net.setLinkDelayFactor(1, 2, 1.0);
+    EXPECT_EQ(net.delayFactor(1, 2), 2.0);
+    EXPECT_EQ(net.delayFactor(2, 1), 2.0);
+    net.setDelayFactor(1.0);
+    EXPECT_EQ(net.delayFactor(1, 2), 1.0);
+}
+
+TEST(Network, EachLegRecordsInItsOwnLinkHistogram)
+{
+    sim::Simulator s;
+    Network net(s, fastConfig(), Rng(13));
+    net.setLinkDelayFactor(1, 2, 3.0); // both directions, not 3 -> 1
+    sim::spawn([](Network *net) -> sim::Task<void> {
+        (void)co_await net->callTyped<int>(1, 2, echoHandler(1));
+        (void)co_await net->callTyped<int>(1, 2, echoHandler(1));
+    }(&net));
+    net.send(3, 1, [] {});
+    s.run();
+    const common::Histogram *to =
+        net.stats().findHistogram("net.link.1-2.delay");
+    const common::Histogram *back =
+        net.stats().findHistogram("net.link.2-1.delay");
+    const common::Histogram *send =
+        net.stats().findHistogram("net.link.3-1.delay");
+    ASSERT_NE(to, nullptr);
+    ASSERT_NE(back, nullptr);
+    ASSERT_NE(send, nullptr);
+    EXPECT_EQ(to->count(), 2u);
+    EXPECT_EQ(back->count(), 2u);
+    EXPECT_EQ(send->count(), 1u);
+    EXPECT_EQ(to->max(), 150 * kMicrosecond);
+    EXPECT_EQ(back->max(), 150 * kMicrosecond);
+    EXPECT_EQ(send->max(), 50 * kMicrosecond);
+    // No message crossed 1 -> 3, so it has no histogram.
+    EXPECT_EQ(net.stats().findHistogram("net.link.1-3.delay"), nullptr);
+}

@@ -11,8 +11,9 @@
  * Also covers what the reference cannot: table capacity independence
  * (same contents whatever the initial pre-size), robin-hood erase
  * stress (backward-shift must leave every surviving key findable),
- * and the KeyMap behind semel::Server's per-key records, replayed
- * against std::unordered_map.
+ * the Key-keyed RobinMap behind semel::Server's per-key records,
+ * replayed against std::unordered_map, and the table core's payload
+ * lifetimes.
  */
 
 #include <gtest/gtest.h>
@@ -20,12 +21,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/robin_table.hh"
 #include "ftl/mapping_table.hh"
 #include "ftl/version_chain.hh"
 
@@ -400,10 +403,11 @@ TEST(StoreSemantics, ClearRetainsCapacityDropsContents)
 }
 
 // --------------------------------------------------------- KeyMap
+// common::RobinMap keyed by Key, the shape of semel::KeyRecords.
 
 namespace {
 
-/** A KeyMap payload with more than one word, so slot moves must carry
+/** A map payload with more than one word, so slot moves must carry
  *  the whole value. */
 struct Payload
 {
@@ -416,7 +420,7 @@ struct Payload
 /** Every reference entry is found with its payload, and the sizes
  *  agree. */
 void
-expectSameContents(const ftl::KeyMap<Payload> &map,
+expectSameContents(const common::RobinMap<Key, Payload> &map,
                    const std::unordered_map<Key, Payload> &ref)
 {
     ASSERT_EQ(map.size(), ref.size());
@@ -432,7 +436,7 @@ expectSameContents(const ftl::KeyMap<Payload> &map,
 TEST(KeyMap, InsertUpdateChurnMatchesReference)
 {
     std::mt19937_64 rng(99);
-    ftl::KeyMap<Payload> map;
+    common::RobinMap<Key, Payload> map;
     std::unordered_map<Key, Payload> ref;
     for (int i = 0; i < 50000; ++i) {
         const Key key = rng() % 10000;
@@ -469,7 +473,7 @@ TEST(KeyMap, InsertUpdateChurnMatchesReference)
 
 TEST(KeyMap, ReserveAndClearMatchReference)
 {
-    ftl::KeyMap<Payload> map;
+    common::RobinMap<Key, Payload> map;
     std::unordered_map<Key, Payload> ref;
     for (Key k = 0; k < 5000; ++k) {
         const Key key = k * 2654435761ull;
@@ -493,4 +497,101 @@ TEST(KeyMap, ReserveAndClearMatchReference)
     map[7].b = 9;
     ref[7] = Payload{0, 9};
     expectSameContents(map, ref);
+}
+
+// ------------------------------------------------- payload lifetimes
+
+namespace {
+
+/**
+ * A move-only payload that counts its live instances and owns a heap
+ * cell: a payload the table destroys twice breaks the count (and trips
+ * ASan), one it never destroys leaks its cell (and trips LeakSanitizer).
+ */
+struct Counted
+{
+    static inline long live = 0;
+
+    std::unique_ptr<std::uint64_t> id;
+
+    Counted() { ++live; }
+    explicit Counted(std::uint64_t i)
+        : id(std::make_unique<std::uint64_t>(i))
+    {
+        ++live;
+    }
+    Counted(Counted &&o) noexcept : id(std::move(o.id)) { ++live; }
+    Counted &operator=(Counted &&o) noexcept = default;
+    ~Counted() { --live; }
+
+    bool operator==(const Counted &o) const { return *id == *o.id; }
+};
+
+} // namespace
+
+TEST(TableCore, MapDestroysEachPayloadExactlyOnce)
+{
+    Counted::live = 0;
+    {
+        common::RobinMap<Key, Counted> map; // small start: rehashes
+        // Keys collide on their home buckets, so inserts displace.
+        for (Key k = 0; k < 3000; ++k) {
+            map[k * 64] = Counted(k);
+            ASSERT_EQ(Counted::live, static_cast<long>(map.size()));
+        }
+        for (Key k = 0; k < 3000; k += 2)
+            ASSERT_TRUE(map.erase(k * 64));
+        EXPECT_FALSE(map.erase(1));
+        EXPECT_EQ(Counted::live, static_cast<long>(map.size()));
+        for (Key k = 1; k < 3000; k += 2)
+            ASSERT_EQ(*map.find(k * 64)->id, k);
+        map.reserve(1u << 14); // rehash moves every survivor once
+        EXPECT_EQ(Counted::live, 1500);
+        for (Key k = 1; k < 3000; k += 2)
+            ASSERT_EQ(*map.find(k * 64)->id, k);
+        map.clear();
+        EXPECT_EQ(Counted::live, 0);
+        for (Key k = 0; k < 100; ++k)
+            map[k] = Counted(k);
+        EXPECT_EQ(Counted::live, 100);
+    }
+    EXPECT_EQ(Counted::live, 0); // destruction
+}
+
+TEST(TableCore, VersionStoreDestroysEachEntryExactlyOnce)
+{
+    Counted::live = 0;
+    const auto versions = [](ftl::VersionStore<Counted> &store) {
+        std::size_t n = 0;
+        store.forEach([&](Key, ftl::VersionStore<Counted>::ChainRef c) {
+            n += c.size();
+        });
+        return static_cast<long>(n);
+    };
+    {
+        ftl::VersionStore<Counted> store;
+        // One to four versions per key: inline chains and arena
+        // blocks, moved by displacement and by every rehash.
+        for (Key k = 0; k < 2000; ++k)
+            for (Time t = 1; t <= static_cast<Time>(1 + k % 4); ++t)
+                store.getOrCreate(k).insert(v(t), Counted(k * 10 + t));
+        ASSERT_EQ(Counted::live, versions(store));
+        for (Key k = 0; k < 2000; k += 3)
+            ASSERT_TRUE(store.erase(k));
+        EXPECT_EQ(Counted::live, versions(store));
+        store.forEach([](Key, ftl::VersionStore<Counted>::ChainRef c) {
+            c.pruneBelowWatermark(100, [](const auto &) {});
+        });
+        EXPECT_EQ(Counted::live, static_cast<long>(store.size()));
+        store.forEach([](Key k, ftl::VersionStore<Counted>::ChainRef c) {
+            ASSERT_EQ(*c.youngest().loc.id, k * 10 + 1 + k % 4);
+        });
+        store.clear();
+        EXPECT_EQ(Counted::live, 0);
+        for (Key k = 0; k < 50; ++k)
+            for (Time t = 1; t <= 3; ++t)
+                store.getOrCreate(k).insert(v(t), Counted(t));
+        EXPECT_EQ(Counted::live, 150);
+    }
+    EXPECT_EQ(Counted::live, 0); // destruction, arena blocks included
 }
