@@ -30,6 +30,11 @@
  *    (arena freelists recycle overflow chains);
  *  - prune: full-table watermark sweeps (forEach + prune); 0 allocs.
  *
+ * Each phase runs kRepetitions times back to back (populate refills
+ * a cleared table); its row keeps the fastest repetition's time and
+ * the most heap traffic any repetition made, so one slow repetition
+ * does not set the row and an allocation in any of them still shows.
+ *
  * Heap traffic is measured by interposing global operator new/delete
  * (alloc_counter.cc, shared with sim_core), so allocs/op is exact.
  * BENCH_store_core.json is the committed baseline; CI fails on any
@@ -39,6 +44,7 @@
  * --full (adds the 6M-key tier and 4x ops), --json=PATH.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -61,6 +67,8 @@ using common::Key;
 using common::Time;
 using common::Version;
 
+constexpr int kRepetitions = 3;
+
 struct PhaseResult
 {
     std::string scenario;
@@ -73,6 +81,37 @@ struct PhaseResult
     /** Exact data-plane footprint after populate (populate row only). */
     double bytesPerKey = 0;
 };
+
+/**
+ * Run @p phase (given the repetition index) kRepetitions times, each
+ * after an untimed @p setup, and return the row of @p ops ops of kind
+ * @p op.
+ */
+template <typename Setup, typename Phase>
+PhaseResult
+bestOf(const std::string &op, std::uint64_t ops, Setup &&setup,
+       Phase &&phase)
+{
+    PhaseResult r;
+    r.op = op;
+    r.ops = ops;
+    std::uint64_t calls = 0;
+    std::uint64_t bytes = 0;
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+        setup();
+        const AllocSnapshot before = AllocSnapshot::take();
+        const auto start = std::chrono::steady_clock::now();
+        phase(rep);
+        const double secs = wallSeconds(start);
+        const AllocSnapshot after = AllocSnapshot::take();
+        r.seconds = rep == 0 ? secs : std::min(r.seconds, secs);
+        calls = std::max(calls, after.calls - before.calls);
+        bytes = std::max(bytes, after.bytes - before.bytes);
+    }
+    r.allocsPerOp = static_cast<double>(calls) / static_cast<double>(ops);
+    r.bytesPerOp = static_cast<double>(bytes) / static_cast<double>(ops);
+    return r;
+}
 
 // Locator payloads matching the real backends' chain entries.
 
@@ -144,30 +183,28 @@ runScenario(const std::string &name, std::uint64_t keys,
 
     const auto noDrop = [](const auto &) {};
 
-    // ---- populate: bulk-load path (append — versions arrive sorted).
-    {
-        const AllocSnapshot before = AllocSnapshot::take();
-        const auto start = std::chrono::steady_clock::now();
-        for (std::uint64_t k = 0; k < keys; ++k)
-            store.getOrCreate(k).append(Version{1, 0},
-                                        makeLoc<Loc>(k));
-        const double secs = wallSeconds(start);
-        const AllocSnapshot after = AllocSnapshot::take();
-        if (store.size() != keys)
-            PANIC("store_core: populate lost keys");
-        PhaseResult r;
+    const auto addRow = [&](PhaseResult r) {
         r.scenario = name;
         r.keys = keys;
-        r.op = "populate";
-        r.ops = keys;
-        r.seconds = secs;
-        r.allocsPerOp = static_cast<double>(after.calls - before.calls) /
-                        static_cast<double>(keys);
-        r.bytesPerOp = static_cast<double>(after.bytes - before.bytes) /
-                       static_cast<double>(keys);
+        out.push_back(std::move(r));
+    };
+
+    // ---- populate: bulk-load path (append — versions arrive sorted).
+    // clear() keeps the table's capacity, so every repetition loads
+    // the same pre-sized table.
+    {
+        PhaseResult r = bestOf(
+            "populate", keys, [&] { store.clear(); },
+            [&](int) {
+                for (std::uint64_t k = 0; k < keys; ++k)
+                    store.getOrCreate(k).append(Version{1, 0},
+                                                makeLoc<Loc>(k));
+            });
+        if (store.size() != keys)
+            PANIC("store_core: populate lost keys");
         r.bytesPerKey = static_cast<double>(store.memoryBytes()) /
                         static_cast<double>(keys);
-        out.push_back(r);
+        addRow(std::move(r));
     }
 
     // ---- put: steady-state churn over a hot key set. Warm up one
@@ -187,54 +224,30 @@ runScenario(const std::string &name, std::uint64_t keys,
     };
     for (std::uint64_t i = 0; i < 2 * hot; ++i)
         doPut(i);
-    {
-        const AllocSnapshot before = AllocSnapshot::take();
-        const auto start = std::chrono::steady_clock::now();
+    const auto noSetup = [] {};
+    addRow(bestOf("put", ops, noSetup, [&](int rep) {
+        const std::uint64_t first = 2 * hot + rep * ops;
         for (std::uint64_t i = 0; i < ops; ++i)
-            doPut(2 * hot + i);
-        const double secs = wallSeconds(start);
-        const AllocSnapshot after = AllocSnapshot::take();
-        PhaseResult r;
-        r.scenario = name;
-        r.keys = keys;
-        r.op = "put";
-        r.ops = ops;
-        r.seconds = secs;
-        r.allocsPerOp = static_cast<double>(after.calls - before.calls) /
-                        static_cast<double>(ops);
-        r.bytesPerOp = static_cast<double>(after.bytes - before.bytes) /
-                       static_cast<double>(ops);
-        out.push_back(r);
-    }
+            doPut(first + i);
+    }));
 
     // ---- get: random snapshot lookups across the whole key space.
     {
         const Version latest{ts, 0xffffffff};
         std::uint64_t found = 0;
-        const AllocSnapshot before = AllocSnapshot::take();
-        const auto start = std::chrono::steady_clock::now();
-        for (std::uint64_t i = 0; i < ops; ++i) {
-            const Key key = rng.nextBounded(keys);
-            auto chain = store.find(key);
-            const auto *entry = chain ? chain.findAt(latest) : nullptr;
-            found += entry != nullptr;
-        }
-        const double secs = wallSeconds(start);
-        const AllocSnapshot after = AllocSnapshot::take();
-        if (found != ops)
+        addRow(bestOf("get", ops, noSetup, [&](int) {
+            for (std::uint64_t i = 0; i < ops; ++i) {
+                const Key key = rng.nextBounded(keys);
+                auto chain = store.find(key);
+                const auto *entry =
+                    chain ? chain.findAt(latest) : nullptr;
+                found += entry != nullptr;
+            }
+        }));
+        const std::uint64_t lookups = kRepetitions * ops;
+        if (found != lookups)
             PANIC("store_core: get phase missed "
-                  << (ops - found) << " of " << ops << " lookups");
-        PhaseResult r;
-        r.scenario = name;
-        r.keys = keys;
-        r.op = "get";
-        r.ops = ops;
-        r.seconds = secs;
-        r.allocsPerOp = static_cast<double>(after.calls - before.calls) /
-                        static_cast<double>(ops);
-        r.bytesPerOp = static_cast<double>(after.bytes - before.bytes) /
-                       static_cast<double>(ops);
-        out.push_back(r);
+                  << (lookups - found) << " of " << lookups << " lookups");
     }
 
     // ---- prune: full-table watermark sweeps (one "op" per key
@@ -244,28 +257,14 @@ runScenario(const std::string &name, std::uint64_t keys,
     {
         const std::uint64_t sweeps =
             std::max<std::uint64_t>(1, ops / keys);
-        const AllocSnapshot before = AllocSnapshot::take();
-        const auto start = std::chrono::steady_clock::now();
-        for (std::uint64_t s = 0; s < sweeps; ++s) {
-            const Time wm = ts + static_cast<Time>(s);
-            store.forEach([&](Key, auto chain) {
-                chain.pruneBelowWatermark(wm, noDrop);
-            });
-        }
-        const double secs = wallSeconds(start);
-        const AllocSnapshot after = AllocSnapshot::take();
-        const std::uint64_t visited = sweeps * keys;
-        PhaseResult r;
-        r.scenario = name;
-        r.keys = keys;
-        r.op = "prune";
-        r.ops = visited;
-        r.seconds = secs;
-        r.allocsPerOp = static_cast<double>(after.calls - before.calls) /
-                        static_cast<double>(visited);
-        r.bytesPerOp = static_cast<double>(after.bytes - before.bytes) /
-                       static_cast<double>(visited);
-        out.push_back(r);
+        addRow(bestOf("prune", sweeps * keys, noSetup, [&](int rep) {
+            for (std::uint64_t s = 0; s < sweeps; ++s) {
+                const Time wm = ts + static_cast<Time>(rep * sweeps + s);
+                store.forEach([&](Key, auto chain) {
+                    chain.pruneBelowWatermark(wm, noDrop);
+                });
+            }
+        }));
     }
 
     return out;

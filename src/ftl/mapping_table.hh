@@ -29,8 +29,8 @@
  * (tests/store_semantics_test.cc replays both).
  *
  * Iteration is in slot order; every iteration in the backends
- * (watermark sweeps, rebuild scans) is order-independent and runs
- * without suspension points.
+ * (rebuild scans) is order-independent and runs without suspension
+ * points.
  */
 
 #ifndef FTL_MAPPING_TABLE_HH

@@ -110,9 +110,13 @@ MvLog<Medium>::flush(std::vector<Pending> batch)
             // copy is dead on arrival, which is fine.
         } else {
             auto chain = map_.getOrCreate(p.record.key);
+            // A chain already past one version is on the sweep list.
+            const bool listed = chain.size() > 1;
             if (chain.append(p.record.version, loc)) {
                 ++pool_.live(unit);
                 pruneChain(chain);
+                if (!listed && chain.size() > 1)
+                    multiVersionKeys_.push_back(p.record.key);
             }
             // else: idempotent duplicate; dead on arrival.
         }
@@ -233,8 +237,19 @@ MvLog<Medium>::watermarkSweep()
 {
     while (!sim_.stopRequested()) {
         co_await sim::sleepFor(sim_, config_.watermarkSweepInterval);
-        map_.forEach(
-            [this](Key, ChainRef chain) { pruneChain(chain); });
+        // Only a chain with more than one version can lose one. Pruning
+        // only adjusts counts, so the visiting order does not matter.
+        std::sort(multiVersionKeys_.begin(), multiVersionKeys_.end());
+        multiVersionKeys_.erase(std::unique(multiVersionKeys_.begin(),
+                                            multiVersionKeys_.end()),
+                                multiVersionKeys_.end());
+        std::erase_if(multiVersionKeys_, [this](Key key) {
+            auto chain = map_.find(key);
+            if (!chain)
+                return true;
+            pruneChain(chain);
+            return chain.size() <= 1;
+        });
         pool_.kick();
     }
 }
@@ -352,6 +367,11 @@ MvLog<Medium>::rebuild()
         if (!stored)
             pool_.addFree(u);
     }
+    multiVersionKeys_.clear();
+    map_.forEach([this](Key key, ChainRef chain) {
+        if (chain.size() > 1)
+            multiVersionKeys_.push_back(key);
+    });
     return recovered;
 }
 

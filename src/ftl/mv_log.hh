@@ -15,7 +15,9 @@
  *  - watermark GC (section 3.1): once every client's clock has passed
  *    the watermark, only the youngest version with stamp <= watermark
  *    plus all younger versions are kept; older tuples become dead in
- *    place and are never remapped;
+ *    place and are never remapped. Reads prune the chain they touch;
+ *    a periodic sweep prunes the rest, visiting only the keys that
+ *    may hold more than one version;
  *  - unit GC: the free-space pool (free_pool.hh) picks the units with
  *    the fewest live tuples; their live tuples are re-packed through
  *    the pack buffer shared with user writes ("puts or remapped
@@ -128,6 +130,13 @@ class MvLog : public KvBackend
     PassLimits limits_;
     FreePool pool_;
     Store map_;
+    /** Every key whose chain holds more than one version (and maybe
+     *  others): the only keys the watermark sweep visits. A user
+     *  append that takes a chain past one version adds its key, and
+     *  rebuild() refills the list (relocation never changes a chain's
+     *  length); each sweep dedupes it and drops the keys left with at
+     *  most one version. */
+    std::vector<Key> multiVersionKeys_;
     PackLog packLog_;
     Time watermark_ = 0;
 

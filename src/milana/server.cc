@@ -81,12 +81,16 @@ MilanaServer::loadKey(Key key, Value value, Version version)
     rec.markRebuilt();
 }
 
-sim::Task<void>
-MilanaServer::ensureKeyState(Key key)
+bool
+MilanaServer::keyStateReady(Key key) const
 {
-    if (const KeyRecord *rec = records_.find(key);
-        rec != nullptr && rec->rebuilt())
-        co_return;
+    const KeyRecord *rec = records_.find(key);
+    return rec != nullptr && rec->rebuilt();
+}
+
+sim::Task<void>
+MilanaServer::rebuildKeyState(Key key)
+{
     // Rebuild ts_latestCommitted from the version stamps in storage
     // (section 4.5); ts_latestRead is unrecoverable — the lease wait
     // already covered it.
@@ -129,7 +133,8 @@ MilanaServer::handleGet(GetRequest request)
     // state: the transaction validates at the primary.
     bool prepared_leq = false;
     if (isPrimary()) {
-        co_await ensureKeyState(request.key);
+        if (!keyStateReady(request.key))
+            co_await rebuildKeyState(request.key);
         // Synchronous with the flag computation and the backend's
         // chain lookup: record the read and capture the prepared flag
         // BEFORE the storage access, so no prepare with stamp <= at
@@ -230,9 +235,11 @@ MilanaServer::handlePrepare(PrepareRequest request)
     }
 
     for (const auto &read : request.readSet)
-        co_await ensureKeyState(read.key);
+        if (!keyStateReady(read.key))
+            co_await rebuildKeyState(read.key);
     for (const auto &write : request.writeSet)
-        co_await ensureKeyState(write.key);
+        if (!keyStateReady(write.key))
+            co_await rebuildKeyState(write.key);
 
     if (request.writeSet.empty()) {
         // Remote validation of a read-only transaction (used when
@@ -293,7 +300,7 @@ MilanaServer::handlePrepare(PrepareRequest request)
 
     // The request is not read again, so the table entry takes its
     // sets. A retransmission that passed the check above while
-    // ensureKeyState suspended folds as a no-op: vote as a duplicate.
+    // rebuildKeyState suspended folds as a no-op: vote as a duplicate.
     const TxnEntry *entry = txns_.fold(
         TxnEntry{{semel::TxnStatus::Prepared, request.txn,
                   request.commitVersion, std::move(request.writeSet),

@@ -178,10 +178,14 @@ class MilanaServer : public semel::Server
      *  AbortReason::None on a commit vote, else the failed check. */
     semel::AbortReason validate(const PrepareRequest &request);
 
-    /** Rebuild a key's record from storage unless already rebuilt
-     *  (needed after failover, when ts_latestCommitted must be
-     *  recovered from the version stamps). */
-    sim::Task<void> ensureKeyState(Key key);
+    /** Whether a key's record is rebuilt from storage. Callers test
+     *  it inline and await rebuildKeyState only when it fails, so the
+     *  common case starts no coroutine. */
+    bool keyStateReady(Key key) const;
+    /** Rebuild a key's record from storage (needed after failover,
+     *  when ts_latestCommitted must be recovered from the version
+     *  stamps). */
+    sim::Task<void> rebuildKeyState(Key key);
 
     /**
      * The one path that puts a committed write set: one spawned put

@@ -26,20 +26,33 @@ ShardMap::ShardMap(std::uint32_t num_shards, std::uint32_t virtual_nodes)
 {
     if (num_shards == 0)
         FATAL("ShardMap needs at least one shard");
+    ring_.reserve(static_cast<std::size_t>(num_shards) * virtual_nodes);
     for (ShardId s = 0; s < num_shards; ++s) {
         for (std::uint32_t v = 0; v < virtual_nodes; ++v) {
             const std::uint64_t point =
                 hash64((static_cast<std::uint64_t>(s) << 32) | v);
-            ring_[point] = s;
+            ring_.emplace_back(point, s);
         }
     }
+    // On a colliding point the later (larger) shard wins: sort it
+    // first among equal points, then keep the first of each point.
+    std::sort(ring_.begin(), ring_.end(), [](const auto &a, const auto &b) {
+        return a.first != b.first ? a.first < b.first : a.second > b.second;
+    });
+    ring_.erase(std::unique(ring_.begin(), ring_.end(),
+                            [](const auto &a, const auto &b) {
+                                return a.first == b.first;
+                            }),
+                ring_.end());
 }
 
 ShardId
 ShardMap::shardOf(Key key) const
 {
     const std::uint64_t point = hash64(key);
-    auto it = ring_.lower_bound(point);
+    auto it = std::lower_bound(
+        ring_.begin(), ring_.end(), point,
+        [](const auto &entry, std::uint64_t p) { return entry.first < p; });
     if (it == ring_.end())
         it = ring_.begin(); // wrap around the ring
     return it->second;

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -39,8 +40,8 @@ class ShardMap
 
   private:
     std::uint32_t numShards_;
-    /** ring position -> shard */
-    std::map<std::uint64_t, ShardId> ring_;
+    /** (ring position, shard), sorted by position; one shard per point */
+    std::vector<std::pair<std::uint64_t, ShardId>> ring_;
 };
 
 /** The global master: shard -> replica set (element 0 is primary). */

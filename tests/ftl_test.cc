@@ -802,6 +802,88 @@ TEST(Vftl, RebuildAfterGcStillConsistent)
     EXPECT_TRUE(all_ok);
 }
 
+// ------------------------------------------ background watermark sweep
+//
+// No get or versionAt touches a key after its writes, so only the
+// periodic sweep can drop the versions below the watermark. It must
+// reach chains grown by user writes, the chain of a key erased and
+// re-created, and chains a recovery scan restored, and leave
+// single-version keys alone.
+
+namespace {
+
+template <typename Log, typename Rebuild>
+void
+checkBackgroundSweep(sim::Simulator &s, Log &log, const char *pruned,
+                     Rebuild rebuild)
+{
+    const common::Duration interval = LogConfig{}.watermarkSweepInterval;
+    const auto expectSingles = [&] {
+        for (Key k = 10; k < 20; ++k)
+            EXPECT_EQ(log.versionCount(k), 1u) << "key " << k;
+    };
+    log.start();
+    bool written = false;
+    // Named, so its captures outlive the coroutine's suspensions.
+    const auto writer = [&]() -> sim::Task<void> {
+        for (int i = 1; i <= 4; ++i)
+            co_await log.put(1, "x", v(i * 100));
+        co_await log.put(2, "a", v(100));
+        co_await log.put(2, "b", v(200));
+        co_await log.erase(2);
+        co_await log.put(2, "c", v(300));
+        co_await log.put(2, "d", v(400));
+        for (Key k = 10; k < 20; ++k)
+            co_await log.put(k, "one", v(100));
+        log.setWatermark(1000);
+        written = true;
+    };
+    sim::spawn(writer());
+    while (!written)
+        s.runUntil(s.now() + kMillisecond);
+    EXPECT_EQ(log.versionCount(1), 4u);
+    EXPECT_EQ(log.versionCount(2), 2u);
+
+    s.runUntil(s.now() + interval);
+    EXPECT_EQ(log.versionCount(1), 1u);
+    EXPECT_EQ(log.versionCount(2), 1u);
+    expectSingles();
+    // Key 1 loses 3; key 2 lost 2 to the erase and 1 to the sweep.
+    EXPECT_EQ(log.stats().counterValue(pruned), 6u);
+
+    // The scan replays the pruned tuples too, so key 1 comes back with
+    // four versions and key 2 with at least its two live ones.
+    rebuild();
+    EXPECT_EQ(log.versionCount(1), 4u);
+    EXPECT_GE(log.versionCount(2), 2u);
+    const std::uint64_t restored =
+        log.versionCount(1) + log.versionCount(2) - 2;
+    s.runUntil(s.now() + interval);
+    EXPECT_EQ(log.versionCount(1), 1u);
+    EXPECT_EQ(log.versionCount(2), 1u);
+    expectSingles();
+    EXPECT_EQ(log.stats().counterValue(pruned), 6u + restored);
+
+    s.requestStop();
+    s.run();
+}
+
+} // namespace
+
+TEST(Mftl, BackgroundSweepPrunesUntouchedChains)
+{
+    MftlFixture f;
+    checkBackgroundSweep(f.s, f.mftl, "mftl.versions_pruned",
+                         [&] { f.mftl.rebuildFromFlash(); });
+}
+
+TEST(Vftl, BackgroundSweepPrunesUntouchedChains)
+{
+    VftlFixture f;
+    checkBackgroundSweep(f.s, f.vftl, "vftl.versions_pruned",
+                         [&] { f.vftl.rebuildFromStore(); });
+}
+
 // ------------------------------------------------- exact GC traffic
 //
 // One fixed overwrite workload per FTL, driving several GC passes.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -52,6 +53,40 @@ TEST(ShardMap, RoughlyBalanced)
     for (int c : counts) {
         EXPECT_GT(c, 4000);  // no shard starved
         EXPECT_LT(c, 25000); // no shard dominates
+    }
+}
+
+TEST(ShardMap, MatchesReferenceMapRing)
+{
+    // The ring built the way it was first written: a std::map from
+    // point to shard (a colliding point keeps the later shard), looked
+    // up with lower_bound and wrapped to the first point.
+    const auto hash64 = [](std::uint64_t x) {
+        x ^= x >> 33;
+        x *= 0xff51afd7ed558ccdULL;
+        x ^= x >> 33;
+        x *= 0xc4ceb9fe1a85ec53ULL;
+        x ^= x >> 33;
+        return x;
+    };
+    for (const std::uint32_t shards : {1u, 3u, 8u}) {
+        std::map<std::uint64_t, ShardId> ring;
+        for (ShardId s = 0; s < shards; ++s)
+            for (std::uint64_t v = 0; v < 64; ++v)
+                ring[hash64((static_cast<std::uint64_t>(s) << 32) | v)] = s;
+        const ShardMap map(shards);
+        std::uint64_t mismatches = 0;
+        std::uint64_t wrapped = 0;
+        for (Key k = 0; k < 1'000'000; ++k) {
+            auto it = ring.lower_bound(hash64(k));
+            if (it == ring.end()) {
+                it = ring.begin();
+                ++wrapped;
+            }
+            mismatches += map.shardOf(k) != it->second;
+        }
+        EXPECT_EQ(mismatches, 0u) << shards << " shards";
+        EXPECT_GT(wrapped, 0u) << shards << " shards"; // wrap exercised
     }
 }
 
