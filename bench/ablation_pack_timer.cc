@@ -41,8 +41,9 @@ runCell(common::Duration timeout, std::uint64_t keys,
         common::Duration warmup, common::Duration measure)
 {
     sim::Simulator sim;
-    flash::SsdDevice ssd(sim,
-                         flash::Geometry::scaledFor(keys * 512, 0.35));
+    flash::SsdDevice ssd(sim, flash::Geometry::scaledFor(
+                                  keys * ftl::kRecordSize,
+                                  flash::kDeviceUtilization));
     ftl::Mftl::Config cfg;
     cfg.packTimeout = timeout;
     ftl::Mftl mftl(sim, ssd, cfg);
@@ -53,7 +54,6 @@ runCell(common::Duration timeout, std::uint64_t keys,
     mcfg.numKeys = keys;
     workload::MicroBench micro(sim, mftl, mcfg);
     micro.populate();
-    mftl.start();
     micro.start();
     sim.runUntil(sim.now() + warmup);
     micro.resetMeasurement();

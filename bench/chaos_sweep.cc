@@ -42,10 +42,8 @@
 using common::kSecond;
 using workload::BackendKind;
 using workload::ClockKind;
-using workload::Cluster;
 using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
+using workload::RetwisRun;
 
 namespace {
 
@@ -152,9 +150,8 @@ runCell(const CellSpec &spec, std::size_t cellIndex, std::uint64_t keys,
     // The monitor observes every append, before the ring evicts it.
     common::TraceLog trace(1u << 16);
     cfg.trace = &trace;
-    common::InvariantMonitor::Config mcfg;
-    mcfg.checkSnapshotReads = true;
-    mcfg.checkReplicationBeforeAck = true;
+    common::InvariantMonitor::Config mcfg =
+        bench::RunOutputs::monitorConfig(cfg);
     mcfg.failFast = false; // count everything; the sweep fails at exit
     common::InvariantMonitor monitor(mcfg, nullptr);
     monitor.attach(trace);
@@ -170,24 +167,10 @@ runCell(const CellSpec &spec, std::size_t cellIndex, std::uint64_t keys,
         cfg.chaos = &chaos;
     }
 
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = spec.mix->alpha;
-    retwis.readHeavy = spec.mix->readHeavy;
-    retwis.numKeys = keys;
-    retwis.seed = seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.runUntil(cluster.now() + warmup);
-    fleet.resetMeasurement();
-    cluster.resetStats();
-    if (spec.scenario != nullptr)
-        chaos.arm(cluster.now());
-    cluster.runFor(measure);
+    RetwisRun run(cfg, spec.mix->alpha, spec.mix->readHeavy);
+    run.measure(warmup, measure);
+    const workload::Cluster &cluster = run.cluster();
+    const workload::RetwisWorkload &fleet = run.fleet();
 
     const common::StatSet clients = cluster.clientStats();
     const common::StatSet servers = cluster.serverStats();

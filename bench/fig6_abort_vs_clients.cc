@@ -31,7 +31,6 @@
  * against the txn.abort.<reason> counters.
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -47,10 +46,7 @@
 using common::kSecond;
 using workload::BackendKind;
 using workload::ClockKind;
-using workload::Cluster;
 using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
 
 namespace {
 
@@ -85,33 +81,14 @@ runCell(BackendKind backend, std::uint32_t clients, double alpha,
     if (outputs != nullptr)
         outputs->arm(cfg);
 
-    Cluster cluster(cfg);
-    const auto populate_start = std::chrono::steady_clock::now();
-    cluster.populate();
-    const double populate_secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      populate_start)
-            .count();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = alpha;
-    retwis.numKeys = keys;
-    retwis.seed = seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.runUntil(cluster.now() + warmup);
-    fleet.resetMeasurement();
-    cluster.resetStats(); // align counters with the measured window
-    cluster.runFor(measure);
-    cluster.finishMetrics();
+    workload::RetwisRun run(cfg, alpha);
+    run.measure(warmup, measure);
 
     CellResult result;
-    result.abortPct = fleet.abortRate() * 100.0;
-    result.populateSeconds = populate_secs;
-    result.clientStats = cluster.clientStats();
-    result.serverStats = cluster.serverStats();
+    result.abortPct = run.fleet().abortRate() * 100.0;
+    result.populateSeconds = run.populateSeconds();
+    result.clientStats = run.cluster().clientStats();
+    result.serverStats = run.cluster().serverStats();
     return result;
 }
 

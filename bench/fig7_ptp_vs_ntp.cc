@@ -31,10 +31,8 @@
 using common::kSecond;
 using workload::BackendKind;
 using workload::ClockKind;
-using workload::Cluster;
 using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
+using workload::RetwisRun;
 
 namespace {
 
@@ -59,24 +57,12 @@ runCell(BackendKind backend, ClockKind clocks, double alpha,
     cfg.numKeys = keys;
     cfg.seed = seed;
 
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = alpha;
-    retwis.numKeys = keys;
-    retwis.seed = seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.runUntil(cluster.now() + warmup);
-    fleet.resetMeasurement();
-    cluster.runFor(measure);
+    RetwisRun run(cfg, alpha);
+    run.measure(warmup, measure);
 
     Cell cell;
-    cell.abortPct = fleet.abortRate() * 100.0;
-    cell.skewUs = cluster.avgClientSkew() / 1000.0;
+    cell.abortPct = run.fleet().abortRate() * 100.0;
+    cell.skewUs = run.cluster().avgClientSkew() / 1000.0;
     return cell;
 }
 

@@ -29,10 +29,8 @@ using common::kSecond;
 using common::toMillis;
 using workload::BackendKind;
 using workload::ClockKind;
-using workload::Cluster;
 using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
+using workload::RetwisRun;
 
 namespace {
 
@@ -58,27 +56,14 @@ runCell(BackendKind backend, bool local_validation,
     cfg.seed = seed;
     cfg.localValidation = local_validation;
 
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = 0.6;
-    retwis.numKeys = keys;
-    retwis.readHeavy = true; // 5/10/10/75 mix
-    retwis.seed = seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.runUntil(cluster.now() + warmup);
-    fleet.resetMeasurement();
-    cluster.runFor(measure);
+    RetwisRun run(cfg, 0.6, /*readHeavy=*/true); // 5/10/10/75 mix
+    run.measure(warmup, measure);
 
     Cell cell;
-    cell.txnPerSec = static_cast<double>(fleet.totalCommits()) /
+    cell.txnPerSec = static_cast<double>(run.fleet().totalCommits()) /
                      common::toSeconds(measure);
     cell.latencyMs = toMillis(static_cast<common::Duration>(
-        fleet.mergedLatency().mean()));
+        run.fleet().mergedLatency().mean()));
     return cell;
 }
 

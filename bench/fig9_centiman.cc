@@ -30,10 +30,8 @@
 using common::kSecond;
 using workload::BackendKind;
 using workload::ClockKind;
-using workload::Cluster;
 using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
+using workload::RetwisRun;
 
 namespace {
 
@@ -60,29 +58,15 @@ runCell(bool centiman, double alpha, std::uint64_t keys,
     cfg.centiman = centiman;
     cfg.centimanDisseminateEvery = 1000;
 
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = alpha;
-    retwis.numKeys = keys;
-    retwis.readHeavy = true;
-    retwis.seed = seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.runUntil(cluster.now() + warmup);
-    fleet.resetMeasurement();
-    cluster.resetStats();
-    cluster.runFor(measure);
+    RetwisRun run(cfg, alpha, /*readHeavy=*/true);
+    run.measure(warmup, measure);
 
     Cell cell;
-    cell.txnPerSec = static_cast<double>(fleet.totalCommits()) /
+    cell.txnPerSec = static_cast<double>(run.fleet().totalCommits()) /
                      common::toSeconds(measure);
-    cell.abortPct = fleet.abortRate() * 100.0;
+    cell.abortPct = run.fleet().abortRate() * 100.0;
     if (centiman) {
-        const auto stats = cluster.clientStats();
+        const auto stats = run.cluster().clientStats();
         const double local = static_cast<double>(
             stats.counterValue("centiman.local_validated"));
         const double remote = static_cast<double>(

@@ -57,20 +57,17 @@ runCell(bool unified, double get_percent, std::uint64_t keys,
         common::Duration measure, std::uint64_t seed)
 {
     sim::Simulator sim;
-    const auto data_bytes = keys * 512ull;
-    flash::SsdDevice ssd(sim, flash::Geometry::scaledFor(data_bytes, 0.35));
+    flash::SsdDevice ssd(sim, flash::Geometry::scaledFor(
+                                  keys * ftl::kRecordSize,
+                                  flash::kDeviceUtilization));
 
     std::unique_ptr<ftl::Sftl> sftl;
-    std::unique_ptr<ftl::Mftl> mftl;
-    std::unique_ptr<ftl::Vftl> vftl;
-    ftl::KvBackend *backend = nullptr;
+    std::unique_ptr<ftl::KvBackend> backend;
     if (unified) {
-        mftl = std::make_unique<ftl::Mftl>(sim, ssd, ftl::Mftl::Config{});
-        backend = mftl.get();
+        backend = std::make_unique<ftl::Mftl>(sim, ssd, ftl::Mftl::Config{});
     } else {
-        sftl = std::make_unique<ftl::Sftl>(sim, ssd, ftl::Sftl::Config{});
-        vftl = std::make_unique<ftl::Vftl>(sim, *sftl, ftl::Vftl::Config{});
-        backend = vftl.get();
+        sftl = std::make_unique<ftl::Sftl>(sim, ssd);
+        backend = std::make_unique<ftl::Vftl>(sim, *sftl, ftl::Vftl::Config{});
     }
 
     workload::MicroConfig cfg;
@@ -79,18 +76,12 @@ runCell(bool unified, double get_percent, std::uint64_t keys,
     cfg.workers = workers;
     cfg.seed = seed;
     workload::MicroBench micro(sim, *backend, cfg);
-    // Populate drains the simulator, so the FTLs' periodic background
-    // sweeps must start only afterwards.
     const auto populate_start = std::chrono::steady_clock::now();
     micro.populate();
     const double populate_secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       populate_start)
             .count();
-    if (mftl)
-        mftl->start();
-    if (vftl)
-        vftl->start();
     micro.start();
     sim.runUntil(sim.now() + warmup);
     micro.resetMeasurement();

@@ -13,6 +13,16 @@ using common::kMillisecond;
 using common::kNanosecond;
 using common::kSecond;
 
+namespace {
+
+/** Mean one-way network delay of sync messages. */
+constexpr Duration kPathDelayMean = 50 * kMicrosecond;
+/** Frequency-servo damping: fraction of the apparent frequency error
+ *  (measured offset / sync interval) trimmed per exchange. */
+constexpr double kFrequencyGain = 0.7;
+
+} // namespace
+
 SyncConfig
 SyncConfig::ptpHardware()
 {
@@ -116,7 +126,7 @@ SyncAgent::performExchange()
     // which the offset moves by picoseconds; we therefore evaluate the
     // slave offset once, at the current instant.
     const double offset = static_cast<double>(clock_.currentOffset());
-    const double mean_d = static_cast<double>(cfg_.pathDelayMean);
+    const double mean_d = static_cast<double>(kPathDelayMean);
     const double sigma_d = static_cast<double>(cfg_.pathDelaySigma);
     const double sigma_ts = static_cast<double>(cfg_.timestampNoiseSigma);
 
@@ -141,18 +151,17 @@ SyncAgent::performExchange()
     // whatever reappeared is (drift * interval + noise), so the
     // apparent frequency error is measured / interval. Skip the first
     // exchange — its measurement contains the arbitrary initial offset.
-    if (havePrevious_ && cfg_.frequencyGain > 0.0) {
+    if (havePrevious_) {
         const double ppm =
             measured / static_cast<double>(cfg_.interval) * 1e6;
-        clock_.adjustRatePpm(-cfg_.frequencyGain * ppm);
+        clock_.adjustRatePpm(-kFrequencyGain * ppm);
     }
     havePrevious_ = true;
 
-    clock_.applyCorrection(
-        static_cast<Duration>(std::llround(measured)), cfg_.gain);
-
     const auto measured_ns =
         static_cast<std::int64_t>(std::llround(measured));
+    // Full gain: the whole measured offset is corrected.
+    clock_.applyCorrection(measured_ns);
     if (stats_ != nullptr) {
         stats_->counter("clocksync.exchanges").inc();
         stats_->histogram("clocksync.offset_abs")

@@ -19,6 +19,10 @@ namespace flash {
 
 using common::Duration;
 
+/** Live data / usable capacity the storage experiments size their
+ *  SSDs for. */
+inline constexpr double kDeviceUtilization = 0.35;
+
 struct Geometry
 {
     /** Page size in bytes (smallest read/program unit). */

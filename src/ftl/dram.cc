@@ -4,13 +4,20 @@
 
 namespace ftl {
 
+namespace {
+
+constexpr common::Duration kReadLatency = 200 * common::kNanosecond;
+constexpr common::Duration kWriteLatency = 500 * common::kNanosecond;
+
+} // namespace
+
 DramBackend::DramBackend(sim::Simulator &sim)
     : DramBackend(sim, Config{})
 {
 }
 
 DramBackend::DramBackend(sim::Simulator &sim, const Config &config)
-    : sim_(sim), config_(config), map_(config.expectedKeys)
+    : sim_(sim), map_(config.expectedKeys)
 {
 }
 
@@ -30,7 +37,7 @@ DramBackend::get(Key key, Version at)
             result.value = entry->loc.value;
         }
     }
-    co_await sim::sleepFor(sim_, config_.readLatency);
+    co_await sim::sleepFor(sim_, kReadLatency);
     co_return result;
 }
 
@@ -43,7 +50,7 @@ DramBackend::put(Key key, Value value, Version version)
     auto chain = map_.getOrCreate(key);
     chain.append(version, Stored{std::move(value)});
     chain.pruneBelowWatermark(watermark_, [](const auto &) {});
-    co_await sim::sleepFor(sim_, config_.writeLatency);
+    co_await sim::sleepFor(sim_, kWriteLatency);
     co_return PutStatus::Ok;
 }
 
@@ -51,7 +58,7 @@ sim::Task<void>
 DramBackend::erase(Key key)
 {
     stats_.counter("dram.deletes").inc();
-    co_await sim::sleepFor(sim_, config_.writeLatency);
+    co_await sim::sleepFor(sim_, kWriteLatency);
     map_.erase(key);
 }
 

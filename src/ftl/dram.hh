@@ -23,8 +23,6 @@ class DramBackend : public KvBackend
   public:
     struct Config
     {
-        common::Duration readLatency = 200 * common::kNanosecond;
-        common::Duration writeLatency = 500 * common::kNanosecond;
         /** Pre-size the mapping table for this many keys (0 = grow). */
         std::uint64_t expectedKeys = 0;
     };
@@ -58,7 +56,6 @@ class DramBackend : public KvBackend
                   "a DRAM key with one version fills one cache line");
 
     sim::Simulator &sim_;
-    Config config_;
     Store map_;
     Time watermark_ = 0;
     common::StatSet stats_;

@@ -51,11 +51,11 @@ class EraseBlocks
     std::uint32_t units() const { return device_.geometry().numBlocks; }
     std::uint32_t pageBytes() const { return device_.geometry().pageSize; }
     PassLimits
-    passLimits(std::uint32_t recordSize) const
+    passLimits() const
     {
         const auto &geo = device_.geometry();
         return {32, 12,
-                std::uint64_t{geo.pagesPerBlock} * (geo.pageSize / recordSize),
+                std::uint64_t{geo.pagesPerBlock} * (geo.pageSize / kRecordSize),
                 true};
     }
     static Unit unitOf(Addr addr) { return addr.block; }

@@ -11,14 +11,20 @@
 
 namespace ftl {
 
+namespace {
+
+/** Fraction of units reserved for GC headroom (paper: 10%). */
+constexpr double kReserveFraction = 0.10;
+
+} // namespace
+
 template <typename Medium>
 MvLog<Medium>::MvLog(sim::Simulator &sim, Medium medium,
                      const LogConfig &config)
     : sim_(sim),
       medium_(std::move(medium)),
-      config_(config),
-      limits_(medium_.passLimits(config.recordSize)),
-      pool_(sim, medium_.units(), config.reserveFraction,
+      limits_(medium_.passLimits()),
+      pool_(sim, medium_.units(), kReserveFraction,
             config.gcTargetFraction, [this] { return collectOnce(); }),
       map_(config.expectedKeys),
       packLog_(sim, medium_.pageBytes(), config.packTimeout,
@@ -173,7 +179,7 @@ MvLog<Medium>::put(Key key, Value value, Version version)
     record.key = key;
     record.version = version;
     record.value = std::move(value);
-    record.sizeBytes = config_.recordSize;
+    record.sizeBytes = kRecordSize;
     auto ack = packLog_.append(std::move(record), false);
     const PutStatus status = co_await ack;
     putLatency_.record(sim_.now() - start);
@@ -188,7 +194,7 @@ MvLog<Medium>::erase(Key key)
     co_await admitUserWrite();
     flash::Record record;
     record.key = key;
-    record.sizeBytes = config_.recordSize;
+    record.sizeBytes = kRecordSize;
     record.tombstone = true;
     auto ack = packLog_.append(std::move(record), false);
     co_await ack;
@@ -236,7 +242,7 @@ sim::Task<void>
 MvLog<Medium>::watermarkSweep()
 {
     while (!sim_.stopRequested()) {
-        co_await sim::sleepFor(sim_, config_.watermarkSweepInterval);
+        co_await sim::sleepFor(sim_, kWatermarkSweepInterval);
         // Only a chain with more than one version can lose one. Pruning
         // only adjusts counts, so the visiting order does not matter.
         std::sort(multiVersionKeys_.begin(), multiVersionKeys_.end());

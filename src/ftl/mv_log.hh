@@ -45,20 +45,18 @@
 
 namespace ftl {
 
+/** Interval of the background watermark pruning sweep. */
+inline constexpr common::Duration kWatermarkSweepInterval =
+    50 * common::kMillisecond;
+
 /** Knobs of the multi-version log. */
 struct LogConfig
 {
     /** Max time a tuple waits in the pack buffer (paper: 1 ms). */
     common::Duration packTimeout = common::kMillisecond;
-    /** Fraction of units reserved for GC headroom (paper: 10%). */
-    double reserveFraction = 0.10;
     /** Free-unit fraction the collector restores per pass; each FTL's
      *  Config sets its own. */
     double gcTargetFraction = 0;
-    /** Accounted stored tuple size (paper: 512 B). */
-    std::uint32_t recordSize = 512;
-    /** Interval of the background watermark pruning sweep. */
-    common::Duration watermarkSweepInterval = 50 * common::kMillisecond;
     /** Pre-size the mapping table for this many keys (0 = grow). */
     std::uint64_t expectedKeys = 0;
 };
@@ -126,7 +124,6 @@ class MvLog : public KvBackend
 
     sim::Simulator &sim_;
     Medium medium_;
-    LogConfig config_;
     PassLimits limits_;
     FreePool pool_;
     Store map_;

@@ -7,20 +7,24 @@ namespace ftl {
 namespace {
 
 constexpr std::size_t kStripes = 64;
+/** Fraction of physical pages reserved for GC headroom. */
+constexpr double kReserveFraction = 0.10;
+/** Free-space fraction the collector restores per pass (hysteresis
+ *  target above the trigger). */
+constexpr double kGcTargetFraction = 0.08;
 
 } // namespace
 
-Sftl::Sftl(sim::Simulator &sim, flash::SsdDevice &device,
-           const Config &config)
+Sftl::Sftl(sim::Simulator &sim, flash::SsdDevice &device)
     : sim_(sim),
       device_(device),
       pool_(sim, device.geometry().numBlocks, 0.05,
-            config.gcTargetFraction, [this] { return collectOnce(); })
+            kGcTargetFraction, [this] { return collectOnce(); })
 {
     const auto &geo = device.geometry();
     logicalBlocks_ = static_cast<std::uint64_t>(
         static_cast<double>(geo.totalPages()) *
-        (1.0 - config.reserveFraction));
+        (1.0 - kReserveFraction));
     lbaMap_.assign(logicalBlocks_, flash::kNoPage);
     owners_.assign(geo.totalPages(), -1);
 }
@@ -178,14 +182,16 @@ Sftl::collectOnce()
 }
 
 SingleVersionKv::SingleVersionKv(sim::Simulator &sim, Sftl &sftl,
-                                 const Config &config)
-    : sim_(sim), sftl_(sftl), config_(config)
+                                 std::uint64_t capacityKeys)
+    : sim_(sim),
+      sftl_(sftl),
+      capacityKeys_(capacityKeys),
+      recordsPerPage_(sftl.pageSize() / kRecordSize)
 {
-    recordsPerPage_ = sftl.pageSize() / config.recordSize;
     const std::uint64_t lbas_needed =
-        (config.capacityKeys + recordsPerPage_ - 1) / recordsPerPage_;
+        (capacityKeys + recordsPerPage_ - 1) / recordsPerPage_;
     if (lbas_needed > sftl.logicalBlocks())
-        FATAL("SingleVersionKv: " << config.capacityKeys
+        FATAL("SingleVersionKv: " << capacityKeys
                                   << " keys exceed device capacity");
     for (std::size_t i = 0; i < kStripes; ++i)
         stripes_.push_back(std::make_unique<sim::Mutex>(sim));
@@ -214,7 +220,7 @@ SingleVersionKv::get(Key key, Version /* at: single version only */)
 {
     const Time start = sim_.now();
     stats_.counter("svkv.gets").inc();
-    if (key >= config_.capacityKeys)
+    if (key >= capacityKeys_)
         co_return GetResult::miss();
     auto page = co_await sftl_.read(lbaOf(key));
     if (!page.has_value())
@@ -236,7 +242,7 @@ SingleVersionKv::put(Key key, Value value, Version version)
 {
     const Time start = sim_.now();
     stats_.counter("svkv.puts").inc();
-    if (key >= config_.capacityKeys)
+    if (key >= capacityKeys_)
         co_return PutStatus::DeviceFull;
     const Lba lba = lbaOf(key);
 
@@ -251,7 +257,7 @@ SingleVersionKv::put(Key key, Value value, Version version)
         data.records.assign(recordsPerPage_, flash::Record{});
         for (auto &r : data.records) {
             r.tombstone = true;
-            r.sizeBytes = config_.recordSize;
+            r.sizeBytes = kRecordSize;
         }
     }
     auto &rec = data.records[slotOf(key)];
@@ -265,7 +271,7 @@ SingleVersionKv::put(Key key, Value value, Version version)
     rec.version = version;
     rec.value = std::move(value);
     rec.tombstone = false;
-    rec.sizeBytes = config_.recordSize;
+    rec.sizeBytes = kRecordSize;
     co_await sftl_.write(lba, std::move(data));
     stats_.histogram("svkv.put_latency").record(sim_.now() - start);
     co_return PutStatus::Ok;
@@ -274,7 +280,7 @@ SingleVersionKv::put(Key key, Value value, Version version)
 sim::Task<void>
 SingleVersionKv::erase(Key key)
 {
-    if (key >= config_.capacityKeys)
+    if (key >= capacityKeys_)
         co_return;
     const Lba lba = lbaOf(key);
     co_await stripe(lba).lock();

@@ -39,17 +39,7 @@ using Lba = std::int64_t;
 class Sftl
 {
   public:
-    struct Config
-    {
-        /** Fraction of physical pages reserved for GC headroom. */
-        double reserveFraction = 0.10;
-        /** Free-space fraction the collector restores per pass
-         *  (hysteresis target above the trigger). */
-        double gcTargetFraction = 0.08;
-    };
-
-    Sftl(sim::Simulator &sim, flash::SsdDevice &device,
-         const Config &config);
+    Sftl(sim::Simulator &sim, flash::SsdDevice &device);
 
     /** Number of addressable logical blocks. */
     std::uint64_t logicalBlocks() const { return logicalBlocks_; }
@@ -114,14 +104,9 @@ class Sftl
 class SingleVersionKv : public KvBackend
 {
   public:
-    struct Config
-    {
-        std::uint32_t recordSize = 512;
-        /** Keys must be < capacityKeys (static slot mapping). */
-        std::uint64_t capacityKeys = 0;
-    };
-
-    SingleVersionKv(sim::Simulator &sim, Sftl &sftl, const Config &config);
+    /** Keys must be < @p capacityKeys (static slot mapping). */
+    SingleVersionKv(sim::Simulator &sim, Sftl &sftl,
+                    std::uint64_t capacityKeys);
 
     sim::Task<GetResult> get(Key key, Version at) override;
     sim::Task<PutStatus> put(Key key, Value value, Version version) override;
@@ -137,7 +122,7 @@ class SingleVersionKv : public KvBackend
 
     sim::Simulator &sim_;
     Sftl &sftl_;
-    Config config_;
+    std::uint64_t capacityKeys_;
     std::uint32_t recordsPerPage_;
     /** Per-LBA write serialization (read-modify-write atomicity). */
     std::vector<std::unique_ptr<sim::Mutex>> stripes_;

@@ -64,9 +64,9 @@ class LogicalBlocks
     }
     std::uint32_t pageBytes() const { return sftl_.pageSize(); }
     PassLimits
-    passLimits(std::uint32_t recordSize) const
+    passLimits() const
     {
-        return {256, 64, sftl_.pageSize() / recordSize, false};
+        return {256, 64, sftl_.pageSize() / kRecordSize, false};
     }
     static Unit unitOf(Addr lba) { return static_cast<Unit>(lba); }
 

@@ -36,6 +36,11 @@ clockName(ClockKind kind)
 
 namespace {
 
+/** Flash channels per storage-server SSD (the shared single-SSD
+ *  experiments use the Geometry default of 32; cluster VMs get a
+ *  smaller slice, as in the paper's per-VM emulated devices). */
+constexpr std::uint32_t kDeviceChannels = 8;
+
 clocksync::SyncConfig
 syncConfigFor(ClockKind kind)
 {
@@ -327,8 +332,7 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
     // margin for hash imbalance), at the configured utilization.
     const std::uint64_t shard_keys =
         config_.numKeys / config_.numShards + config_.numKeys / 10 + 64;
-    const std::uint64_t shard_bytes =
-        shard_keys * config_.recordSize;
+    const std::uint64_t shard_bytes = shard_keys * ftl::kRecordSize;
 
     ftl::KvBackend *backend = nullptr;
     switch (config_.backend) {
@@ -344,13 +348,12 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
       }
       case BackendKind::Mftl: {
         auto geo = flash::Geometry::scaledFor(shard_bytes,
-                                              config_.deviceUtilization);
-        geo.numChannels = config_.deviceChannels;
+                                              flash::kDeviceUtilization);
+        geo.numChannels = kDeviceChannels;
         devices_.push_back(
             std::make_unique<flash::SsdDevice>(sim_, geo));
         sftls_.push_back(nullptr);
         ftl::Mftl::Config cfg;
-        cfg.recordSize = config_.recordSize;
         cfg.expectedKeys = shard_keys;
         auto mftl = std::make_unique<ftl::Mftl>(sim_, *devices_.back(),
                                                 cfg);
@@ -360,14 +363,13 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
       }
       case BackendKind::Vftl: {
         auto geo = flash::Geometry::scaledFor(shard_bytes,
-                                              config_.deviceUtilization);
-        geo.numChannels = config_.deviceChannels;
+                                              flash::kDeviceUtilization);
+        geo.numChannels = kDeviceChannels;
         devices_.push_back(
             std::make_unique<flash::SsdDevice>(sim_, geo));
-        sftls_.push_back(std::make_unique<ftl::Sftl>(
-            sim_, *devices_.back(), ftl::Sftl::Config{}));
+        sftls_.push_back(
+            std::make_unique<ftl::Sftl>(sim_, *devices_.back()));
         ftl::Vftl::Config cfg;
-        cfg.recordSize = config_.recordSize;
         cfg.expectedKeys = shard_keys;
         auto vftl = std::make_unique<ftl::Vftl>(sim_, *sftls_.back(),
                                                 cfg);
@@ -378,17 +380,14 @@ Cluster::buildStorageNode(common::ShardId shard, std::uint32_t replica)
       case BackendKind::SingleVersion: {
         // Slot mapping covers the whole key range.
         auto geo = flash::Geometry::scaledFor(
-            config_.numKeys * config_.recordSize, 0.5);
-        geo.numChannels = config_.deviceChannels;
+            config_.numKeys * ftl::kRecordSize, 0.5);
+        geo.numChannels = kDeviceChannels;
         devices_.push_back(
             std::make_unique<flash::SsdDevice>(sim_, geo));
-        sftls_.push_back(std::make_unique<ftl::Sftl>(
-            sim_, *devices_.back(), ftl::Sftl::Config{}));
-        ftl::SingleVersionKv::Config cfg;
-        cfg.recordSize = config_.recordSize;
-        cfg.capacityKeys = config_.numKeys;
+        sftls_.push_back(
+            std::make_unique<ftl::Sftl>(sim_, *devices_.back()));
         auto kv = std::make_unique<ftl::SingleVersionKv>(
-            sim_, *sftls_.back(), cfg);
+            sim_, *sftls_.back(), config_.numKeys);
         backend = kv.get();
         backends_.push_back(std::move(kv));
         break;

@@ -36,6 +36,7 @@ MicroBench::populate()
 void
 MicroBench::start()
 {
+    backend_.start();
     for (std::uint32_t w = 0; w < config_.workers; ++w)
         sim::spawn(worker(rng_.fork(), w + 1));
     sim::spawn(watermarkLoop());

@@ -41,7 +41,9 @@ class MicroBench
     /** Pre-load every key (run the simulator to completion first). */
     void populate();
 
-    /** Start the worker loops (then drive the simulator). */
+    /** Start the backend's background processes (KvBackend::start)
+     *  and the worker loops, then drive the simulator. Call after
+     *  populate(): it drains the simulator. */
     void start();
 
     void resetMeasurement();

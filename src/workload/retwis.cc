@@ -1,11 +1,19 @@
 #include "workload/retwis.hh"
 
+#include <chrono>
 #include <string>
 
 #include "common/logging.hh"
 #include "sim/future.hh"
 
 namespace workload {
+
+namespace {
+
+/** Give up on a transaction after this many aborted attempts. */
+constexpr std::uint32_t kMaxAttempts = 100;
+
+} // namespace
 
 RetwisInstance::RetwisInstance(milana::MilanaClient &client,
                                const RetwisConfig &config,
@@ -22,7 +30,6 @@ RetwisInstance::resetMeasurement()
 {
     commits_ = 0;
     aborts_ = 0;
-    failures_ = 0;
     latency_.reset();
 }
 
@@ -104,7 +111,7 @@ RetwisInstance::run(sim::Simulator &sim)
         // Retry an aborted transaction with the same key set, without
         // any wait (section 5.2).
         for (std::uint32_t attempt = 0;
-             attempt < config_.maxAttempts && !sim.stopRequested();
+             attempt < kMaxAttempts && !sim.stopRequested();
              ++attempt) {
             const common::Time start = sim.now();
             milana::CommitResult result;
@@ -118,24 +125,19 @@ RetwisInstance::run(sim::Simulator &sim)
                 ++aborts_;
                 continue;
             }
-            ++failures_;
             break; // infrastructure failure: drop this transaction
         }
     }
 }
 
 RetwisWorkload::RetwisWorkload(Cluster &cluster,
-                               const RetwisConfig &config,
-                               std::uint32_t instances_per_client)
+                               const RetwisConfig &config)
     : cluster_(cluster)
 {
     common::Rng rng(config.seed);
-    for (std::uint32_t c = 0; c < cluster.numClients(); ++c) {
-        for (std::uint32_t i = 0; i < instances_per_client; ++i) {
-            instances_.push_back(std::make_unique<RetwisInstance>(
-                cluster.client(c), config, rng.fork()));
-        }
-    }
+    for (std::uint32_t c = 0; c < cluster.numClients(); ++c)
+        instances_.push_back(std::make_unique<RetwisInstance>(
+            cluster.client(c), config, rng.fork()));
 }
 
 void
@@ -186,6 +188,33 @@ RetwisWorkload::mergedLatency() const
     for (const auto &instance : instances_)
         merged.merge(instance->latency());
     return merged;
+}
+
+RetwisRun::RetwisRun(const ClusterConfig &cfg, double alpha,
+                     bool readHeavy)
+    : cluster_(cfg),
+      fleet_(cluster_, RetwisConfig{alpha, cfg.numKeys, readHeavy,
+                                    cfg.seed + 100})
+{
+    const auto start = std::chrono::steady_clock::now();
+    cluster_.populate();
+    populateSeconds_ = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+    cluster_.start();
+    fleet_.start();
+}
+
+void
+RetwisRun::measure(common::Duration warmup, common::Duration measure)
+{
+    cluster_.runUntil(cluster_.now() + warmup);
+    fleet_.resetMeasurement();
+    cluster_.resetStats();
+    if (common::ChaosEngine *chaos = cluster_.config().chaos)
+        chaos->arm(cluster_.now());
+    cluster_.runFor(measure);
+    cluster_.finishMetrics();
 }
 
 } // namespace workload

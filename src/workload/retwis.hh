@@ -16,6 +16,10 @@
  * keys and without any wait".
  *
  * Abort rate = aborts / (aborts + commits), counting each retry.
+ *
+ * RetwisRun is the measurement rule every Retwis experiment shares:
+ * a closed-loop fleet on a loaded store, a discarded warm-up, then the
+ * measured window.
  */
 
 #ifndef WORKLOAD_RETWIS_HH
@@ -39,8 +43,6 @@ struct RetwisConfig
     std::uint64_t numKeys = 50'000;
     /** Use the 75%-read-only mix of Figures 8 and 9. */
     bool readHeavy = false;
-    /** Give up on a transaction after this many aborted attempts. */
-    std::uint32_t maxAttempts = 100;
     std::uint64_t seed = 7;
 };
 
@@ -59,13 +61,6 @@ class RetwisInstance
     std::uint64_t aborts() const { return aborts_; }
     const common::Histogram &latency() const { return latency_; }
     void resetMeasurement();
-
-    double
-    abortRate() const
-    {
-        const double total = static_cast<double>(commits_ + aborts_);
-        return total == 0 ? 0.0 : static_cast<double>(aborts_) / total;
-    }
 
   private:
     struct TxnShape
@@ -86,22 +81,16 @@ class RetwisInstance
 
     std::uint64_t commits_ = 0;
     std::uint64_t aborts_ = 0;
-    std::uint64_t failures_ = 0;
     common::Histogram latency_;
 };
 
-/** A fleet of Retwis instances over a cluster's clients. */
+/** A fleet of Retwis instances, one per cluster client (the paper
+ *  runs 4-6 instances per client VM; here each instance gets its own
+ *  client and clock). */
 class RetwisWorkload
 {
   public:
-    /**
-     * @param instances_per_client Independent sessions per MILANA
-     *        client (the paper runs 4-6 instances per client VM; here
-     *        each instance gets its own client/clock, so this is
-     *        usually 1).
-     */
-    RetwisWorkload(Cluster &cluster, const RetwisConfig &config,
-                   std::uint32_t instances_per_client = 1);
+    RetwisWorkload(Cluster &cluster, const RetwisConfig &config);
 
     void start();
     void resetMeasurement();
@@ -114,6 +103,36 @@ class RetwisWorkload
   private:
     Cluster &cluster_;
     std::vector<std::unique_ptr<RetwisInstance>> instances_;
+};
+
+/**
+ * One Retwis experiment cell. Construction builds the cluster, bulk
+ * loads it (timed on the host clock), starts it, and starts a fleet
+ * over cfg.numKeys seeded with cfg.seed + 100. Schedule extra events
+ * (e.g. a crash) on cluster() before measure().
+ */
+class RetwisRun
+{
+  public:
+    RetwisRun(const ClusterConfig &cfg, double alpha,
+              bool readHeavy = false);
+
+    /**
+     * Run @p warmup; zero the fleet's and the cluster's counters; arm
+     * cfg.chaos (if any) at that instant; run @p measure plus the 1 s
+     * wind-down; flush the metrics plane.
+     */
+    void measure(common::Duration warmup, common::Duration measure);
+
+    Cluster &cluster() { return cluster_; }
+    RetwisWorkload &fleet() { return fleet_; }
+    /** Host seconds spent in Cluster::populate. */
+    double populateSeconds() const { return populateSeconds_; }
+
+  private:
+    Cluster cluster_;
+    RetwisWorkload fleet_;
+    double populateSeconds_ = 0;
 };
 
 } // namespace workload

@@ -38,6 +38,7 @@ using workload::ClockKind;
 using workload::Cluster;
 using workload::ClusterConfig;
 using workload::RetwisConfig;
+using workload::RetwisRun;
 using workload::RetwisWorkload;
 
 namespace {
@@ -250,30 +251,16 @@ TEST(ChaosClockFaults, ClusterStepTripsClockSuspectNotMonotonicity)
     cfg.trace = &trace;
     cfg.chaos = &chaos;
 
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = 0.9;
-    retwis.numKeys = cfg.numKeys;
-    retwis.seed = cfg.seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.runUntil(cluster.now() + 300 * kMillisecond);
-    fleet.resetMeasurement();
-    cluster.resetStats();
-    chaos.arm(cluster.now());
-    cluster.runFor(300 * kMillisecond);
+    RetwisRun run(cfg, 0.9);
+    run.measure(300 * kMillisecond, 300 * kMillisecond);
 
     EXPECT_EQ(monitor.violationCount(), 0u);
     EXPECT_EQ(chaos.injections(), 1u);
     EXPECT_EQ(chaos.heals(), 1u);
-    EXPECT_GT(fleet.totalCommits(), 100u);
+    EXPECT_GT(run.fleet().totalCommits(), 100u);
     // While the step is active, stale-timestamp aborts are classified
     // as ClockSuspect on the server — the fault-aware abort path.
-    EXPECT_GT(cluster.serverStats().counterValue(
+    EXPECT_GT(run.cluster().serverStats().counterValue(
                   "milana.abort_clock_suspect"),
               0u);
 }
@@ -542,21 +529,10 @@ TEST(ChaosCluster, SameScheduleAndSeedReplaysExactly)
         cfg.numKeys = 400;
         cfg.seed = 9;
         cfg.chaos = &chaos;
-        Cluster cluster(cfg);
-        cluster.populate();
-        cluster.start();
-        RetwisConfig retwis;
-        retwis.numKeys = cfg.numKeys;
-        retwis.seed = cfg.seed + 100;
-        RetwisWorkload fleet(cluster, retwis);
-        fleet.start();
-        cluster.runUntil(cluster.now() + 100 * kMillisecond);
-        fleet.resetMeasurement();
-        cluster.resetStats();
-        chaos.arm(cluster.now());
-        cluster.runFor(200 * kMillisecond);
-        return std::make_tuple(fleet.totalCommits(),
-                               fleet.totalAborts(),
+        RetwisRun run(cfg, 0.6);
+        run.measure(100 * kMillisecond, 200 * kMillisecond);
+        return std::make_tuple(run.fleet().totalCommits(),
+                               run.fleet().totalAborts(),
                                chaos.injections(), chaos.heals());
     };
     const auto a = run();

@@ -299,7 +299,7 @@ struct SftlFixture
     Sftl sftl;
 
     explicit SftlFixture(std::uint32_t blocks = 64)
-        : ssd(s, smallGeometry(blocks)), sftl(s, ssd, Sftl::Config{})
+        : ssd(s, smallGeometry(blocks)), sftl(s, ssd)
     {
     }
 };
@@ -411,17 +411,8 @@ struct SvkvFixture
     Sftl sftl;
     SingleVersionKv kv;
 
-    static SingleVersionKv::Config
-    cfg()
-    {
-        SingleVersionKv::Config c;
-        c.capacityKeys = 1000;
-        return c;
-    }
-
     SvkvFixture()
-        : ssd(s, smallGeometry(64)), sftl(s, ssd, Sftl::Config{}),
-          kv(s, sftl, cfg())
+        : ssd(s, smallGeometry(64)), sftl(s, ssd), kv(s, sftl, 1000)
     {
     }
 };
@@ -523,7 +514,7 @@ struct VftlFixture
     Vftl vftl;
 
     explicit VftlFixture(std::uint32_t blocks = 64)
-        : ssd(s, smallGeometry(blocks)), sftl(s, ssd, Sftl::Config{}),
+        : ssd(s, smallGeometry(blocks)), sftl(s, ssd),
           vftl(s, sftl, Vftl::Config{})
     {
     }
@@ -679,7 +670,7 @@ TEST_P(BackendParamTest, MonotoneVersionsReadBack)
 {
     sim::Simulator s;
     flash::SsdDevice ssd(s, smallGeometry(64));
-    Sftl sftl(s, ssd, Sftl::Config{});
+    Sftl sftl(s, ssd);
     std::unique_ptr<KvBackend> backend;
     const std::string which = GetParam();
     if (which == "mftl")
@@ -817,7 +808,7 @@ void
 checkBackgroundSweep(sim::Simulator &s, Log &log, const char *pruned,
                      Rebuild rebuild)
 {
-    const common::Duration interval = LogConfig{}.watermarkSweepInterval;
+    const common::Duration interval = kWatermarkSweepInterval;
     const auto expectSingles = [&] {
         for (Key k = 10; k < 20; ++k)
             EXPECT_EQ(log.versionCount(k), 1u) << "key " << k;

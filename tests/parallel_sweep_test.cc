@@ -33,10 +33,7 @@ namespace {
 using common::kSecond;
 using workload::BackendKind;
 using workload::ClockKind;
-using workload::Cluster;
 using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
 
 TEST(SweepRunner, RunsEveryCellExactlyOnce)
 {
@@ -188,21 +185,9 @@ runAbortCell(BackendKind backend, std::uint32_t clients, double alpha)
     cfg.numKeys = 500;
     cfg.seed = 1;
 
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-
-    RetwisConfig retwis;
-    retwis.alpha = alpha;
-    retwis.numKeys = cfg.numKeys;
-    retwis.seed = cfg.seed + 100;
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
-
-    cluster.sim().runUntil(cluster.sim().now() + kSecond / 4);
-    fleet.resetMeasurement();
-    cluster.sim().runFor(kSecond / 2);
-    return fleet.abortRate() * 100.0;
+    workload::RetwisRun run(cfg, alpha);
+    run.measure(kSecond / 4, kSecond / 2);
+    return run.fleet().abortRate() * 100.0;
 }
 
 /** Render the small grid as a milana-bench-v1 report string. */

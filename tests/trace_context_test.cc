@@ -413,15 +413,9 @@ std::string
 runTracedCluster()
 {
     common::TraceLog log(1 << 20);
-    workload::Cluster cluster(tinyCluster(&log));
-    cluster.populate();
+    workload::RetwisRun run(tinyCluster(&log), 0.6);
     log.clear(); // population noise is not part of the run
-    cluster.start();
-    workload::RetwisConfig rcfg;
-    rcfg.numKeys = 500;
-    workload::RetwisWorkload fleet(cluster, rcfg);
-    fleet.start();
-    cluster.sim().runFor(kSecond / 5);
+    run.measure(0, kSecond / 5);
     std::ostringstream os;
     log.writeJson(os);
     return os.str();
@@ -497,19 +491,13 @@ TEST(ClusterTrace, MonitorPassesOnCleanRun)
     InvariantMonitor monitor(mcfg);
     monitor.attach(log);
 
-    workload::Cluster cluster(tinyCluster(&log));
-    cluster.populate();
-    cluster.start();
-    workload::RetwisConfig rcfg;
-    rcfg.numKeys = 500;
-    workload::RetwisWorkload fleet(cluster, rcfg);
-    fleet.start();
-    cluster.sim().runFor(kSecond / 5);
+    workload::RetwisRun run(tinyCluster(&log), 0.6);
+    run.measure(0, kSecond / 5);
 
     std::ostringstream report;
     monitor.report(report);
     EXPECT_TRUE(monitor.ok()) << report.str();
-    EXPECT_GT(fleet.totalCommits(), 0u);
+    EXPECT_GT(run.fleet().totalCommits(), 0u);
 }
 
 } // namespace

@@ -2,11 +2,15 @@
  * @file
  * Tests for the workload layer: Retwis mix statistics, the cluster
  * builder, end-to-end Retwis runs on every backend, the contention
- * knob, the micro-benchmark driver, and the Centiman baseline.
+ * knob, the Retwis run driver's measurement rule, the micro-benchmark
+ * driver, and the Centiman baseline.
  */
+
+#include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "common/chaos.hh"
 #include "flash/ssd.hh"
 #include "ftl/dram.hh"
 #include "workload/cluster.hh"
@@ -39,26 +43,12 @@ struct RunResult
 };
 
 RunResult
-runRetwis(const ClusterConfig &ccfg, double alpha, int seconds,
-          bool read_heavy = false)
+runRetwis(const ClusterConfig &ccfg, double alpha, int seconds)
 {
-    Cluster cluster(ccfg);
-    cluster.populate();
-    cluster.start();
-    RetwisConfig rcfg;
-    rcfg.alpha = alpha;
-    rcfg.numKeys = ccfg.numKeys;
-    rcfg.readHeavy = read_heavy;
-    RetwisWorkload fleet(cluster, rcfg);
-    fleet.start();
-    cluster.sim().runUntil(cluster.sim().now() + kSecond / 2);
-    fleet.resetMeasurement();
-    cluster.sim().runFor(seconds * kSecond);
-    RunResult r;
-    r.commits = fleet.totalCommits();
-    r.aborts = fleet.totalAborts();
-    r.abortRate = fleet.abortRate();
-    return r;
+    RetwisRun run(ccfg, alpha);
+    run.measure(kSecond / 2, seconds * kSecond);
+    const RetwisWorkload &fleet = run.fleet();
+    return {fleet.totalCommits(), fleet.totalAborts(), fleet.abortRate()};
 }
 
 } // namespace
@@ -137,18 +127,10 @@ TEST(Retwis, CentimanRunsAndValidates)
     cfg.numShards = 2;
     cfg.centiman = true;
     cfg.centimanDisseminateEvery = 50;
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-    RetwisConfig rcfg;
-    rcfg.alpha = 0.6;
-    rcfg.numKeys = cfg.numKeys;
-    rcfg.readHeavy = true;
-    RetwisWorkload fleet(cluster, rcfg);
-    fleet.start();
-    cluster.sim().runFor(3 * kSecond);
-    EXPECT_GT(fleet.totalCommits(), 100u);
-    const auto stats = cluster.clientStats();
+    RetwisRun run(cfg, 0.6, /*readHeavy=*/true);
+    run.measure(0, 3 * kSecond);
+    EXPECT_GT(run.fleet().totalCommits(), 100u);
+    const auto stats = run.cluster().clientStats();
     // Both local and remote validation paths should have been used.
     EXPECT_GT(stats.counterValue("centiman.local_validated") +
                   stats.counterValue("centiman.remote_validated"),
@@ -157,18 +139,60 @@ TEST(Retwis, CentimanRunsAndValidates)
 
 TEST(Cluster, StatsAggregationAndReset)
 {
-    ClusterConfig cfg = tinyCluster(BackendKind::Dram, 2);
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-    RetwisConfig rcfg;
-    rcfg.numKeys = cfg.numKeys;
-    RetwisWorkload fleet(cluster, rcfg);
-    fleet.start();
-    cluster.sim().runFor(kSecond);
+    RetwisRun run(tinyCluster(BackendKind::Dram, 2), 0.6);
+    run.measure(0, kSecond);
+    Cluster &cluster = run.cluster();
     EXPECT_GT(cluster.clientStats().counterValue("txn.begun"), 0u);
     cluster.resetStats();
     EXPECT_EQ(cluster.clientStats().counterValue("txn.begun"), 0u);
+}
+
+TEST(RetwisRun, MeasuredWindowStartsAtTheWarmupBoundary)
+{
+    // An event at the boundary instant still belongs to the warm-up:
+    // its counter bump is zeroed, and the `at 0ms` fault is not active
+    // yet. One microsecond later the fault is active and a bump counts.
+    common::ChaosEngine chaos(3);
+    ASSERT_TRUE(chaos.parse("at 0ms delay all factor=2 for 50ms"));
+    ClusterConfig cfg = tinyCluster(BackendKind::Dram);
+    cfg.chaos = &chaos;
+    RetwisRun run(cfg, 0.6);
+    Cluster &cluster = run.cluster();
+    const common::Duration warmup = kSecond / 4;
+    const common::Time boundary = cluster.now() + warmup;
+    bool activeAtBoundary = true;
+    bool activeAfter = false;
+    cluster.sim().scheduleAt(boundary, [&] {
+        activeAtBoundary = chaos.anyActive();
+        cluster.client(0).stats().counter("test.warmup_bump").inc();
+    });
+    cluster.sim().scheduleAt(boundary + common::kMicrosecond, [&] {
+        activeAfter = chaos.anyActive();
+        cluster.client(0).stats().counter("test.measured_bump").inc();
+    });
+    run.measure(warmup, kSecond / 2);
+
+    EXPECT_FALSE(activeAtBoundary);
+    EXPECT_TRUE(activeAfter);
+    EXPECT_EQ(chaos.injections(), 1u);
+    const auto stats = cluster.clientStats();
+    EXPECT_EQ(stats.counterValue("test.warmup_bump"), 0u);
+    EXPECT_EQ(stats.counterValue("test.measured_bump"), 1u);
+    EXPECT_GT(run.fleet().totalCommits(), 0u);
+}
+
+TEST(RetwisRun, SameSeedReplaysExactly)
+{
+    const auto once = [] {
+        RetwisRun run(tinyCluster(BackendKind::Mftl, 8), 0.8);
+        run.measure(kSecond / 4, kSecond / 2);
+        return std::make_tuple(run.fleet().totalCommits(),
+                               run.fleet().totalAborts(),
+                               run.cluster().clientStats().dump());
+    };
+    const auto a = once();
+    EXPECT_GT(std::get<0>(a), 100u);
+    EXPECT_EQ(a, once());
 }
 
 TEST(Micro, DriverSustainsThroughputOnDram)
@@ -214,7 +238,8 @@ TEST(Micro, MftlSurvivesSustainedMixedLoad)
     // high concurrency must keep flowing through GC pressure.
     sim::Simulator sim;
     flash::SsdDevice ssd(
-        sim, flash::Geometry::scaledFor(5000 * 512, 0.35));
+        sim, flash::Geometry::scaledFor(5000 * ftl::kRecordSize,
+                                        flash::kDeviceUtilization));
     ftl::Mftl mftl(sim, ssd, ftl::Mftl::Config{});
     MicroConfig cfg;
     cfg.numKeys = 5000;
@@ -222,8 +247,7 @@ TEST(Micro, MftlSurvivesSustainedMixedLoad)
     cfg.getPercent = 50;
     MicroBench micro(sim, mftl, cfg);
     micro.populate();
-    mftl.start();
-    micro.start();
+    micro.start(); // starts the MFTL's watermark sweep too
     sim.runUntil(sim.now() + kSecond);
     const auto puts_at_1s = micro.puts();
     sim.runFor(2 * kSecond);
@@ -236,8 +260,9 @@ TEST(Micro, VftlSurvivesSustainedMixedLoad)
 {
     sim::Simulator sim;
     flash::SsdDevice ssd(
-        sim, flash::Geometry::scaledFor(5000 * 512, 0.35));
-    ftl::Sftl sftl(sim, ssd, ftl::Sftl::Config{});
+        sim, flash::Geometry::scaledFor(5000 * ftl::kRecordSize,
+                                        flash::kDeviceUtilization));
+    ftl::Sftl sftl(sim, ssd);
     ftl::Vftl vftl(sim, sftl, ftl::Vftl::Config{});
     MicroConfig cfg;
     cfg.numKeys = 5000;
@@ -245,7 +270,6 @@ TEST(Micro, VftlSurvivesSustainedMixedLoad)
     cfg.getPercent = 50;
     MicroBench micro(sim, vftl, cfg);
     micro.populate();
-    vftl.start();
     micro.start();
     sim.runUntil(sim.now() + kSecond);
     const auto puts_at_1s = micro.puts();
@@ -257,17 +281,10 @@ TEST(RetwisInstance, MixMatchesTable2)
 {
     // Drive shapes statistically: read-only fraction ~50% (default) or
     // ~75% (read-heavy).
-    ClusterConfig cfg = tinyCluster(BackendKind::Dram, 1);
-    Cluster cluster(cfg);
-    cluster.populate();
-    cluster.start();
-    RetwisConfig rcfg;
-    rcfg.numKeys = cfg.numKeys;
-    rcfg.readHeavy = true;
-    RetwisWorkload fleet(cluster, rcfg);
-    fleet.start();
-    cluster.sim().runFor(3 * kSecond);
-    const auto stats = cluster.clientStats();
+    RetwisRun run(tinyCluster(BackendKind::Dram, 1), 0.6,
+                  /*readHeavy=*/true);
+    run.measure(0, 3 * kSecond);
+    const auto stats = run.cluster().clientStats();
     const double ro = static_cast<double>(
         stats.counterValue("txn.local_validations"));
     const double total =

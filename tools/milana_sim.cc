@@ -33,8 +33,6 @@ using workload::BackendKind;
 using workload::ClockKind;
 using workload::Cluster;
 using workload::ClusterConfig;
-using workload::RetwisConfig;
-using workload::RetwisWorkload;
 
 namespace {
 
@@ -125,11 +123,8 @@ main(int argc, char **argv)
     cfg.localValidation = !args.has("no-local-validation");
     cfg.centiman = args.has("centiman");
 
-    RetwisConfig retwis;
-    retwis.alpha = args.getDouble("alpha", 0.6);
-    retwis.numKeys = cfg.numKeys;
-    retwis.readHeavy = args.has("read-heavy");
-    retwis.seed = cfg.seed + 100;
+    const double alpha = args.getDouble("alpha", 0.6);
+    const bool read_heavy = args.has("read-heavy");
 
     const auto warmup = args.getInt("warmup", 1) * kSecond;
     const auto measure = args.getInt("seconds", 5) * kSecond;
@@ -159,18 +154,15 @@ main(int argc, char **argv)
                 "%s backend, %s clocks, alpha=%.2f%s%s\n",
                 cfg.numShards, cfg.replicasPerShard, cfg.numClients,
                 workload::backendName(cfg.backend),
-                workload::clockName(cfg.clocks), retwis.alpha,
+                workload::clockName(cfg.clocks), alpha,
                 cfg.localValidation ? "" : ", LV off",
                 cfg.centiman ? ", centiman validation" : "");
 
-    Cluster cluster(cfg);
     std::printf("populating %llu keys...\n",
                 static_cast<unsigned long long>(cfg.numKeys));
-    cluster.populate();
-    cluster.start();
-
-    RetwisWorkload fleet(cluster, retwis);
-    fleet.start();
+    workload::RetwisRun run(cfg, alpha, read_heavy);
+    Cluster &cluster = run.cluster();
+    const workload::RetwisWorkload &fleet = run.fleet();
 
     if (crash_at >= 0) {
         const auto victim = cluster.master().primaryOf(0);
@@ -194,19 +186,15 @@ main(int argc, char **argv)
             });
     }
 
-    cluster.runUntil(cluster.now() + warmup);
-    fleet.resetMeasurement();
-    cluster.resetStats();
     if (chaos != nullptr) {
-        // Schedule times are relative to this instant: warmup and
-        // population ran fault-free.
-        chaos->arm(cluster.now());
-        std::printf("chaos armed: %zu fault(s) from %s (seed %lld)\n",
+        // Schedule times are relative to the end of warm-up: warm-up
+        // and population run fault-free.
+        std::printf("chaos: %zu fault(s) from %s (seed %lld), armed "
+                    "after warm-up\n",
                     chaos->faultCount(), chaos_path.c_str(),
                     static_cast<long long>(chaos_seed));
     }
-    cluster.runFor(measure);
-    cluster.finishMetrics();
+    run.measure(warmup, measure);
 
     const double seconds = common::toSeconds(measure);
     const auto latency = fleet.mergedLatency();
@@ -256,8 +244,8 @@ main(int argc, char **argv)
         .set("seed", cfg.seed)
         .set("backend", workload::backendName(cfg.backend))
         .set("clocks", workload::clockName(cfg.clocks))
-        .set("alpha", retwis.alpha)
-        .set("read_heavy", retwis.readHeavy)
+        .set("alpha", alpha)
+        .set("read_heavy", read_heavy)
         .set("local_validation", cfg.localValidation)
         .set("centiman", cfg.centiman)
         .set("warmup_s", common::toSeconds(warmup))
