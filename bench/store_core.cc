@@ -30,15 +30,13 @@
  *    (arena freelists recycle overflow chains);
  *  - prune: full-table watermark sweeps (forEach + prune); 0 allocs.
  *
- * Each phase runs kRepetitions times back to back (populate refills
- * a cleared table); its row keeps the fastest repetition's time and
- * the most heap traffic any repetition made, so one slow repetition
- * does not set the row and an allocation in any of them still shows.
- *
- * Heap traffic is measured by interposing global operator new/delete
- * (alloc_counter.cc, shared with sim_core), so allocs/op is exact.
- * BENCH_store_core.json is the committed baseline; CI fails on any
- * allocs/op rise or a >20% throughput drop on get/put/prune.
+ * Each phase runs once. Heap traffic is measured by interposing global
+ * operator new/delete (alloc_counter.cc, shared with sim_core), so
+ * allocs/op is exact. BENCH_store_core.json records the trajectory;
+ * CI's paired gate (.github/perf_gate.py) runs this binary and its
+ * merge-base build in alternating pairs and fails on an allocs/op or
+ * bytes/key rise, a non-zero get/put/prune allocs/op, or a throughput
+ * below 0.8x the base in the median pair.
  *
  * Flags: --ops=N measured ops per phase (default 1,000,000),
  * --full (adds the 6M-key tier and 4x ops), --json=PATH.
@@ -67,8 +65,6 @@ using common::Key;
 using common::Time;
 using common::Version;
 
-constexpr int kRepetitions = 3;
-
 struct PhaseResult
 {
     std::string scenario;
@@ -82,34 +78,24 @@ struct PhaseResult
     double bytesPerKey = 0;
 };
 
-/**
- * Run @p phase (given the repetition index) kRepetitions times, each
- * after an untimed @p setup, and return the row of @p ops ops of kind
- * @p op.
- */
-template <typename Setup, typename Phase>
+/** Time one run of @p phase as the row of @p ops ops of kind @p op. */
+template <typename Phase>
 PhaseResult
-bestOf(const std::string &op, std::uint64_t ops, Setup &&setup,
-       Phase &&phase)
+measure(const std::string &op, std::uint64_t ops, Phase &&phase)
 {
+    const AllocSnapshot before = AllocSnapshot::take();
+    const auto start = std::chrono::steady_clock::now();
+    phase();
+    const double secs = wallSeconds(start);
+    const AllocSnapshot after = AllocSnapshot::take();
     PhaseResult r;
     r.op = op;
     r.ops = ops;
-    std::uint64_t calls = 0;
-    std::uint64_t bytes = 0;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-        setup();
-        const AllocSnapshot before = AllocSnapshot::take();
-        const auto start = std::chrono::steady_clock::now();
-        phase(rep);
-        const double secs = wallSeconds(start);
-        const AllocSnapshot after = AllocSnapshot::take();
-        r.seconds = rep == 0 ? secs : std::min(r.seconds, secs);
-        calls = std::max(calls, after.calls - before.calls);
-        bytes = std::max(bytes, after.bytes - before.bytes);
-    }
-    r.allocsPerOp = static_cast<double>(calls) / static_cast<double>(ops);
-    r.bytesPerOp = static_cast<double>(bytes) / static_cast<double>(ops);
+    r.seconds = secs;
+    r.allocsPerOp = static_cast<double>(after.calls - before.calls) /
+                    static_cast<double>(ops);
+    r.bytesPerOp = static_cast<double>(after.bytes - before.bytes) /
+                   static_cast<double>(ops);
     return r;
 }
 
@@ -190,16 +176,11 @@ runScenario(const std::string &name, std::uint64_t keys,
     };
 
     // ---- populate: bulk-load path (append — versions arrive sorted).
-    // clear() keeps the table's capacity, so every repetition loads
-    // the same pre-sized table.
     {
-        PhaseResult r = bestOf(
-            "populate", keys, [&] { store.clear(); },
-            [&](int) {
-                for (std::uint64_t k = 0; k < keys; ++k)
-                    store.getOrCreate(k).append(Version{1, 0},
-                                                makeLoc<Loc>(k));
-            });
+        PhaseResult r = measure("populate", keys, [&] {
+            for (std::uint64_t k = 0; k < keys; ++k)
+                store.getOrCreate(k).append(Version{1, 0}, makeLoc<Loc>(k));
+        });
         if (store.size() != keys)
             PANIC("store_core: populate lost keys");
         r.bytesPerKey = static_cast<double>(store.memoryBytes()) /
@@ -224,30 +205,26 @@ runScenario(const std::string &name, std::uint64_t keys,
     };
     for (std::uint64_t i = 0; i < 2 * hot; ++i)
         doPut(i);
-    const auto noSetup = [] {};
-    addRow(bestOf("put", ops, noSetup, [&](int rep) {
-        const std::uint64_t first = 2 * hot + rep * ops;
+    addRow(measure("put", ops, [&] {
         for (std::uint64_t i = 0; i < ops; ++i)
-            doPut(first + i);
+            doPut(2 * hot + i);
     }));
 
     // ---- get: random snapshot lookups across the whole key space.
     {
         const Version latest{ts, 0xffffffff};
         std::uint64_t found = 0;
-        addRow(bestOf("get", ops, noSetup, [&](int) {
+        addRow(measure("get", ops, [&] {
             for (std::uint64_t i = 0; i < ops; ++i) {
                 const Key key = rng.nextBounded(keys);
                 auto chain = store.find(key);
-                const auto *entry =
-                    chain ? chain.findAt(latest) : nullptr;
+                const auto *entry = chain ? chain.findAt(latest) : nullptr;
                 found += entry != nullptr;
             }
         }));
-        const std::uint64_t lookups = kRepetitions * ops;
-        if (found != lookups)
+        if (found != ops)
             PANIC("store_core: get phase missed "
-                  << (lookups - found) << " of " << lookups << " lookups");
+                  << (ops - found) << " of " << ops << " lookups");
     }
 
     // ---- prune: full-table watermark sweeps (one "op" per key
@@ -257,9 +234,9 @@ runScenario(const std::string &name, std::uint64_t keys,
     {
         const std::uint64_t sweeps =
             std::max<std::uint64_t>(1, ops / keys);
-        addRow(bestOf("prune", sweeps * keys, noSetup, [&](int rep) {
+        addRow(measure("prune", sweeps * keys, [&] {
             for (std::uint64_t s = 0; s < sweeps; ++s) {
-                const Time wm = ts + static_cast<Time>(rep * sweeps + s);
+                const Time wm = ts + static_cast<Time>(s);
                 store.forEach([&](Key, auto chain) {
                     chain.pruneBelowWatermark(wm, noDrop);
                 });

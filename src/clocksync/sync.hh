@@ -139,9 +139,9 @@ class ClockEnsemble
      * transitions in the ensemble stats.
      */
     void setMasterDown(bool down);
-    bool masterDown() const { return masterDown_; }
 
     /** Exchange counters/offset histograms of all member agents. */
+    common::StatSet &stats() { return stats_; }
     const common::StatSet &stats() const { return stats_; }
 
     /** Mean absolute pairwise skew observed so far. */
@@ -157,8 +157,6 @@ class ClockEnsemble
      * time-series sampling.
      */
     Duration instantaneousMaxPairwiseSkew() const;
-
-    const common::Histogram &skewHistogram() const { return skewHist_; }
 
   private:
     sim::Task<void> skewSampler();

@@ -164,7 +164,6 @@ class SsdDevice
      *  invariant still holds. */
     void startGcStorm();
     void stopGcStorm() { gcStorm_ = false; }
-    bool gcStormActive() const { return gcStorm_; }
 
   private:
     struct Block

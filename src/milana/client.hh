@@ -82,8 +82,6 @@ class Transaction
     /** Trace id grouping every span of this transaction (0 when
      *  tracing is disabled); printed by trace-report --txn=<id>. */
     std::uint64_t traceId() const { return traceId_; }
-    /** Why the last commit attempt aborted (None when committed). */
-    semel::AbortReason abortReason() const { return abortReason_; }
 
   private:
     friend class MilanaClient;
@@ -155,10 +153,6 @@ class MilanaClient : public semel::Client
 
     /** Discard all transaction state. */
     void abortTransaction(Transaction &txn);
-
-    /** Timestamp of the latest decided transaction (watermark input,
-     *  section 4.4). */
-    Time lastDecided() const { return lastAcked(); }
 
     /** Chaos awareness (may be null): prepare failures that happen
      *  while a fault window is active are reported as Timeout rather

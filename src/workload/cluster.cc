@@ -505,6 +505,9 @@ Cluster::resetStats()
         client->stats().reset();
     for (auto &server : servers_)
         server->stats().reset();
+    net_.stats().reset();
+    if (ensemble_ != nullptr)
+        ensemble_->stats().reset();
 }
 
 double

@@ -122,14 +122,12 @@ class Cluster : private common::ChaosSink
                          common::Duration grace = common::kSecond);
     void requestStop() { sim_.requestStop(); }
 
-    /** No-op: components append to config().trace directly, so the
-     *  log is complete as soon as the run returns. */
+    // finishTrace() and traceEventsLost() are kept only because
+    // perfbench/txn_bench.cc calls them; nothing else should. Components
+    // append to config().trace directly and an attached observer sees
+    // every append before eviction, so there is nothing to finish and
+    // nothing is ever lost.
     void finishTrace() {}
-
-    /**
-     * Events evicted before an attached trace observer could see them.
-     * Always 0: the observer runs on every append, before eviction.
-     */
     std::uint64_t traceEventsLost() const { return 0; }
 
     /**
@@ -163,7 +161,8 @@ class Cluster : private common::ChaosSink
     common::StatSet serverStats() const;
     /** Clock-sync exchange stats (empty without an ensemble). */
     common::StatSet clockStats() const;
-    /** Reset all client/server counters (end of warm-up). */
+    /** Reset all client, server, network and clock-sync counters and
+     *  histograms (end of warm-up). */
     void resetStats();
 
     /** Average pairwise client clock skew observed (ns), if an

@@ -150,11 +150,13 @@ TEST(Cluster, StatsAggregationAndReset)
 TEST(RetwisRun, MeasuredWindowStartsAtTheWarmupBoundary)
 {
     // An event at the boundary instant still belongs to the warm-up:
-    // its counter bump is zeroed, and the `at 0ms` fault is not active
-    // yet. One microsecond later the fault is active and a bump counts.
+    // its counter bumps are zeroed, and the `at 0ms` fault is not
+    // active yet. One microsecond later the fault is active and a bump
+    // counts. The client, network and clock-sync sets all reset.
     common::ChaosEngine chaos(3);
     ASSERT_TRUE(chaos.parse("at 0ms delay all factor=2 for 50ms"));
     ClusterConfig cfg = tinyCluster(BackendKind::Dram);
+    cfg.clocks = ClockKind::Dtp; // a sync exchange every 0.5 s
     cfg.chaos = &chaos;
     RetwisRun run(cfg, 0.6);
     Cluster &cluster = run.cluster();
@@ -162,22 +164,37 @@ TEST(RetwisRun, MeasuredWindowStartsAtTheWarmupBoundary)
     const common::Time boundary = cluster.now() + warmup;
     bool activeAtBoundary = true;
     bool activeAfter = false;
+    std::uint64_t exchangesAtBoundary = 0;
+    std::uint64_t exchangesAfter = 0;
+    const auto bump = [&](const char *name) {
+        cluster.client(0).stats().counter(name).inc();
+        cluster.network().stats().counter(name).inc();
+    };
     cluster.sim().scheduleAt(boundary, [&] {
         activeAtBoundary = chaos.anyActive();
-        cluster.client(0).stats().counter("test.warmup_bump").inc();
+        exchangesAtBoundary =
+            cluster.clockStats().counterValue("clocksync.exchanges");
+        bump("test.warmup_bump");
     });
     cluster.sim().scheduleAt(boundary + common::kMicrosecond, [&] {
         activeAfter = chaos.anyActive();
-        cluster.client(0).stats().counter("test.measured_bump").inc();
+        exchangesAfter =
+            cluster.clockStats().counterValue("clocksync.exchanges");
+        bump("test.measured_bump");
     });
     run.measure(warmup, kSecond / 2);
 
     EXPECT_FALSE(activeAtBoundary);
     EXPECT_TRUE(activeAfter);
     EXPECT_EQ(chaos.injections(), 1u);
-    const auto stats = cluster.clientStats();
-    EXPECT_EQ(stats.counterValue("test.warmup_bump"), 0u);
-    EXPECT_EQ(stats.counterValue("test.measured_bump"), 1u);
+    for (const auto &stats :
+         {cluster.clientStats(), cluster.network().stats()}) {
+        EXPECT_EQ(stats.counterValue("test.warmup_bump"), 0u);
+        EXPECT_EQ(stats.counterValue("test.measured_bump"), 1u);
+    }
+    // The warm-up's exchanges are gone one microsecond later.
+    EXPECT_GT(exchangesAtBoundary, 0u);
+    EXPECT_EQ(exchangesAfter, 0u);
     EXPECT_GT(run.fleet().totalCommits(), 0u);
 }
 
