@@ -27,9 +27,8 @@ favour one side for a whole gate run. Per row it then checks:
   - throughput (events/s, ops/s, attempts/s): the median over the pairs
     of change/base is at least RATE_FLOOR. A pair's two runs are
     seconds apart, so a drift in host speed cancels within the pair;
-  - allocs/event, allocs/op and bytes/key: the change's median is not
-    above the base's; allocs/txn: not above ALLOC_SLACK_TXN x the
-    base's median;
+  - allocs/event, allocs/op, allocs/txn and bytes/key: the change's
+    median is not above the base's;
   - on every change run, the store_core get/put/prune phases at exactly
     0 allocs/op, and txn_bench's output checks passed with no failed
     attempt.
@@ -49,7 +48,6 @@ import tempfile
 from collections import namedtuple
 
 RATE_FLOOR = 0.8
-ALLOC_SLACK_TXN = 1.02
 # The store_core phases that must not allocate at all.
 STEADY_OPS = ("get", "put", "prune")
 TXN_WORKLOADS = ("replicated_mixed", "contended_single",
@@ -94,7 +92,7 @@ GATES = {
                        (("allocs_per_op", 1.0), ("bytes_per_key", 1.0)),
                        store_core_run_check),
     "txn_bench": Gate(10, ("workload",), "txn_per_host_s",
-                      (("allocs_per_txn", ALLOC_SLACK_TXN),),
+                      (("allocs_per_txn", 1.0),),
                       txn_run_check),
 }
 

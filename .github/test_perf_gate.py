@@ -123,11 +123,12 @@ class PerfGateTest(unittest.TestCase):
                     ] * 10
 
         self.assertEqual(perf_gate.judge("txn_bench", runs(),
-                                         runs(allocs=35.5))[1], [])
+                                         runs(allocs=35.0))[1], [])
+        # allocs/txn has no slack: +1% fails.
         failures = perf_gate.judge("txn_bench", runs(),
-                                   runs(allocs=36.0))[1]
+                                   runs(allocs=35.35))[1]
         self.assertEqual(len(failures), 1)
-        self.assertIn("allocs_per_txn rose 35 -> 36", failures[0])
+        self.assertIn("allocs_per_txn rose 35 -> 35.35", failures[0])
         failures = perf_gate.judge("txn_bench", runs(), runs(failed=2))[1]
         self.assertEqual(len(failures), 1)
         self.assertIn("contended_single: output check failed", failures[0])

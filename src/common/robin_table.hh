@@ -2,8 +2,9 @@
  * @file
  * The simulator's one open-addressing hash table, behind every keyed
  * index of the server state: the FTL mapping table (ftl::VersionStore),
- * the per-key records, MILANA's undecided transactions and the
- * network's per-link state (the last three through RobinMap below).
+ * the per-key records and the network's per-link state (the last two
+ * through RobinMap below). MILANA's transactions, keyed by a dense
+ * serial per client, use common::SeqWindow instead.
  *
  *  - Power-of-two capacity, Fibonacci hashing (high bits), linear
  *    probing with robin-hood displacement: an insert that meets a

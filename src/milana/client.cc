@@ -37,7 +37,8 @@ Transaction
 MilanaClient::beginTransaction(TxnHint hint)
 {
     Transaction txn;
-    txn.id_ = TxnId{clientId_, nextSerial_++};
+    txn.id_ = TxnId{clientId_, nextSerial_};
+    holds_.at(nextSerial_++) = 1;
     txn.begin_ = Version{clock_.localNow(), clientId_};
     txn.active_ = true;
     txn.hint_ = hint;
@@ -166,8 +167,19 @@ MilanaClient::put(Transaction &txn, Key key, Value value)
 }
 
 void
+MilanaClient::release(std::uint64_t serial)
+{
+    --*holds_.find(serial);
+    while (holds_.base() < holds_.end() && *holds_.find(holds_.base()) == 0)
+        holds_.advance(holds_.base() + 1);
+    settledBelow_ = holds_.base();
+}
+
+void
 MilanaClient::abortTransaction(Transaction &txn)
 {
+    if (txn.active_)
+        release(txn.id_.serial);
     txn.active_ = false;
     txn.readSet_.clear();
     txn.writeSet_.clear();
@@ -299,16 +311,21 @@ MilanaClient::twoPhaseCommit(Transaction &txn, bool read_only)
     // Read-only transactions prepared nothing: no decision phase.
     if (!read_only) {
         // Report to the application now; notify participants
-        // asynchronously (section 4.2).
+        // asynchronously (section 4.2). The serial stays unsettled
+        // until every participant acknowledges its decision ok.
+        *holds_.find(txn.id_.serial) +=
+            static_cast<std::uint32_t>(participants.size());
         for (const auto &shard : participants) {
             MilanaServer *primary = milanaPrimaryFor(shard);
             sim::spawn([](MilanaClient *self, MilanaServer *primary,
                           semel::DecisionRequest request)
                            -> sim::Task<void> {
-                (void)co_await
+                const auto ack = co_await
                     self->net_.callTyped<semel::DecisionResponse>(
                         self->nodeId(), primary->nodeId(),
                         primary->handleDecision(request));
+                if (ack.has_value() && ack->ok)
+                    self->release(request.txn.serial);
             }(this, primary,
               semel::DecisionRequest{txn.id_, decision}));
         }
@@ -395,6 +412,7 @@ MilanaClient::commitTransaction(Transaction &txn)
     // Watermark input: the timestamp of the latest *decided*
     // transaction (section 4.4).
     noteAcked(clock_.localNow());
+    release(txn.id_.serial);
     co_return result;
 }
 

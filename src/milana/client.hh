@@ -17,6 +17,11 @@
  *    participant primaries; the outcome is reported to the
  *    application immediately and the decision is propagated to the
  *    participants asynchronously.
+ *
+ * The client tracks its settled floor, the lowest serial that is still
+ * running or whose decision some participant primary has not yet
+ * acknowledged, and reports it with its watermark; the servers drop
+ * transaction-table entries below it (milana/txn_table.hh).
  */
 
 #ifndef MILANA_CLIENT_HH
@@ -25,6 +30,7 @@
 #include <map>
 #include <optional>
 
+#include "common/seq_window.hh"
 #include "milana/server.hh"
 #include "semel/client.hh"
 
@@ -172,9 +178,16 @@ class MilanaClient : public semel::Client
     sim::Task<CommitResult> twoPhaseCommit(Transaction &txn,
                                            bool read_only);
 
+    /** One hold on @p serial ended; move the settled floor past every
+     *  serial with none left. */
+    void release(std::uint64_t serial);
+
     TxnConfig tcfg_;
     const common::ChaosEngine *chaos_ = nullptr;
     std::uint64_t nextSerial_ = 1;
+    /** Holds per serial from the settled floor: one while the
+     *  transaction runs, plus one per unacknowledged decision. */
+    common::SeqWindow<std::uint32_t> holds_;
     /** Inter-transaction read cache (insertion-order bounded). */
     std::map<Key, Transaction::CachedRead> interTxnCache_;
     common::Rng replicaRng_{0xC0FFEE};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/chaos.hh"
 #include "common/logging.hh"
@@ -40,6 +41,10 @@ MilanaServer::setBackups(std::vector<semel::Server *> backups)
     for (semel::Server *backup : backups)
         if (dynamic_cast<MilanaServer *>(backup) == nullptr)
             PANIC("milana primary wired to a non-milana backup");
+    if (backups.size() > TxnTable::kMaxBackups)
+        PANIC("milana primary wired to " << backups.size()
+                                         << " backups; at most "
+                                         << TxnTable::kMaxBackups);
     semel::Server::setBackups(std::move(backups));
 }
 
@@ -225,6 +230,15 @@ MilanaServer::handlePrepare(PrepareRequest request)
         co_return resp;
     }
 
+    // Its client never asks about a settled serial again, so this is
+    // a stale redelivery: vote Abort and change nothing.
+    if (txns_.settled(request.txn)) {
+        resp.vote = Vote::Abort;
+        resp.reason = semel::AbortReason::PrepareFailed;
+        span.setTag("settled");
+        co_return resp;
+    }
+
     // Idempotent retransmissions.
     if (const semel::TxnStatus known = txns_.statusOf(request.txn);
         known != semel::TxnStatus::Unknown) {
@@ -384,9 +398,32 @@ MilanaServer::handleDecision(DecisionRequest request)
     DecisionResponse resp;
     resp.ok = true;
 
+    // The ack settles the transaction at the client once every
+    // participant has sent one: answering before the pull has folded
+    // in a prepare this replica missed would let the other
+    // participants drop a commit that the CTP here then needs.
+    while (pulling_)
+        co_await sim::sleepFor(sim_, kMillisecond);
+
     TxnEntry *entry = txns_.find(request.txn);
-    if (entry == nullptr || entry->status != semel::TxnStatus::Prepared)
-        co_return resp; // duplicate or already resolved: idempotent
+    if (entry == nullptr || entry->status != semel::TxnStatus::Prepared) {
+        // Duplicate or already resolved: idempotent. The client's ack
+        // settles the transaction, so, like the first decision's, it
+        // waits until the outcome is applied and held by a quorum of
+        // backups; past a deadline it answers not ok, and the client
+        // keeps its floor. A late (CTP) decision's ack settles nothing.
+        const Time deadline = sim_.now() + common::kSecond;
+        while (!request.late &&
+               txns_.outcomePending(request.txn, backupQuorum())) {
+            if (sim_.now() > deadline || sim_.stopRequested()) {
+                resp.ok = false;
+                span.setTag("pending");
+                break;
+            }
+            co_await sim::sleepFor(sim_, kMillisecond);
+        }
+        co_return resp;
+    }
 
     // Claim the entry synchronously BEFORE the apply suspends: the
     // client's decision and the CTP backup coordinator can race here,
@@ -439,13 +476,40 @@ MilanaServer::replicateTxnRecord(const ReplicateTxnRecord &record)
                                  : "aborted";
     common::ScopedSpan span(trace_, "milana.repl.txn_record", kind);
     const Time started = sim_.now();
-    // Each backup's handler owns its copy: the last read of @p record.
-    auto acks = callBackups(backupQuorum(), [&record](semel::Server *b) {
-        return static_cast<MilanaServer *>(b)->handleReplicateTxnRecord(
-            record);
-    });
+    auto acks = sendRecord(record, backupQuorum());
     co_await acks->wait();
     stats_.histogram("milana.repl_wait").record(sim_.now() - started);
+}
+
+std::shared_ptr<sim::Quorum>
+MilanaServer::sendRecord(const ReplicateTxnRecord &record,
+                         std::uint32_t needed)
+{
+    const std::uint64_t floor = txns_.floorOf(record.txn.client);
+    std::optional<TxnId> outcome;
+    if (record.status != semel::TxnStatus::Prepared)
+        outcome = record.txn;
+    // Each backup's handler owns its copy: the last read of @p record.
+    return callBackups(
+        needed,
+        [&record, floor](semel::Server *b) {
+            return static_cast<MilanaServer *>(b)->handleReplicateTxnRecord(
+                record, floor);
+        },
+        [this, outcome](NodeId backup) {
+            // The backup's bit is its place among the backups wired now.
+            if (outcome.has_value())
+                for (std::size_t i = 0; i < backups_.size(); ++i)
+                    if (backups_[i]->nodeId() == backup)
+                        txns_.noteAck(*outcome, 1u << i);
+        });
+}
+
+void
+MilanaServer::noteSettled(common::ClientId client, std::uint64_t settled)
+{
+    if (isPrimary() && !recovering_)
+        txns_.settle(client, settled, (1u << backups_.size()) - 1);
 }
 
 sim::Task<bool>
@@ -467,9 +531,11 @@ MilanaServer::learn(TxnEntry entry)
 }
 
 sim::Task<bool>
-MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record)
+MilanaServer::handleReplicateTxnRecord(ReplicateTxnRecord record,
+                                       std::uint64_t floor)
 {
     stats_.counter("milana.replica_records").inc();
+    txns_.truncate(record.txn.client, floor);
     learn(TxnEntry{std::move(record), sim_.now()});
     co_return true;
 }
@@ -634,6 +700,9 @@ MilanaServer::recoverAsPrimary()
 {
     recovering_ = true;
     stats_.counter("milana.recoveries").inc();
+    // Acks count toward the settled floor only from the backups wired
+    // now; the re-send below collects them again.
+    txns_.clearAcks();
 
     // Algorithm 2: fold the table of every reachable replica of the
     // shard into ours. Outcomes beat prepares; any single outcome is
@@ -641,6 +710,7 @@ MilanaServer::recoverAsPrimary()
     // Each entry takes the step a replicated record takes: a commit
     // learned here is applied, and nothing already held is re-written.
     Time max_lease = maxLeaseGranted_;
+    pulling_ = true;
     for (const NodeId node : master_.replicasOf(shard_)) {
         if (node == id_)
             continue;
@@ -655,6 +725,7 @@ MilanaServer::recoverAsPrimary()
             learn(std::move(entry));
         max_lease = std::max(max_lease, pull->maxLeaseGranted);
     }
+    pulling_ = false;
 
     records_.clear();
 
@@ -682,13 +753,10 @@ MilanaServer::recoverAsPrimary()
         }
     }
 
-    // Bring the backups level: one record per transaction, sent
+    // Bring the backups level: one record per live transaction, sent
     // without waiting (a backup folds what it already holds away).
     txns_.forEach([this](const TxnEntry &entry) {
-        callBackups(backupQuorum(), [&entry](semel::Server *b) {
-            return static_cast<MilanaServer *>(b)->handleReplicateTxnRecord(
-                entry);
-        });
+        sendRecord(entry, backupQuorum());
     });
 
     // Wait out the old primary's lease so no read it served can be

@@ -110,15 +110,19 @@ class MilanaServer : public semel::Server
      *  prepare record, vote. */
     sim::Task<PrepareResponse> handlePrepare(PrepareRequest request);
 
-    /** Phase 2: apply the coordinator's decision. Idempotent. */
+    /** Phase 2: apply the coordinator's decision. Idempotent. Its ack
+     *  tells the client the outcome is held here, so a recovering
+     *  primary answers only once the pulled tables are folded in. */
     sim::Task<DecisionResponse> handleDecision(DecisionRequest request);
 
     /** CTP status query from a peer participant. */
     sim::Task<TxnStatusResponse> handleTxnStatus(TxnStatusRequest request);
 
-    /** Backup side: fold a replicated transaction record into the
-     *  table (see learn()). Order-insensitive. */
-    sim::Task<bool> handleReplicateTxnRecord(ReplicateTxnRecord record);
+    /** Backup side: drop the record's client's entries below
+     *  @p floor, the primary's settled floor, then fold the record
+     *  into the table (see learn()). Order-insensitive. */
+    sim::Task<bool> handleReplicateTxnRecord(ReplicateTxnRecord record,
+                                             std::uint64_t floor);
 
     /** Backup side: grant a read lease to the primary. */
     sim::Task<bool> handleLeaseGrant(Time until);
@@ -161,6 +165,13 @@ class MilanaServer : public semel::Server
      *  timestamp-order aborts are reported as ClockSuspect so clients
      *  and traces can tell "time misbehaved" from a real conflict. */
     void setChaos(const common::ChaosEngine *chaos) { chaos_ = chaos; }
+
+  protected:
+    /** Primary: advance the client's settled floor (TxnTable::settle),
+     *  not while recovering, when the pulled tables are still being
+     *  folded in. */
+    void noteSettled(common::ClientId client,
+                     std::uint64_t settled) override;
 
   private:
     /** Remap timestamp-order abort reasons to ClockSuspect while a
@@ -208,6 +219,15 @@ class MilanaServer : public semel::Server
      *  only before it first suspends, so it may be a table entry. */
     sim::Task<void> replicateTxnRecord(const ReplicateTxnRecord &record);
 
+    /**
+     * Send a record to every backup with its client's settled floor;
+     * returns the quorum that @p needed acks satisfy. Each backup's ack
+     * of an outcome is noted in the table (TxnTable::noteAck). Reads
+     * @p record only before it returns.
+     */
+    std::shared_ptr<sim::Quorum> sendRecord(const ReplicateTxnRecord &record,
+                                            std::uint32_t needed);
+
     /** Round-trip sync with f backups (remote read-only validation
      *  pays this; local validation is what removes it). */
     sim::Task<bool> handleBarrier();
@@ -231,6 +251,8 @@ class MilanaServer : public semel::Server
     Time leaseUntil_ = 0;       ///< primary: lease expiry (local clock)
     Time maxLeaseGranted_ = 0;  ///< backup: newest lease it granted
     bool recovering_ = false;
+    /** Recovery is folding in its peers' tables (handleDecision waits). */
+    bool pulling_ = false;
     bool started_ = false;
 };
 

@@ -122,11 +122,12 @@ Client::watermarkLoop()
         const Time report = lastAcked_;
         if (report == 0)
             continue;
+        const std::uint64_t settled = settledBelow_;
         for (const auto &[node, server] : directory_.all()) {
             Server *srv = server;
             const ClientId cid = clientId_;
-            net_.send(node_, node, [srv, cid, report] {
-                srv->handleWatermarkReport(cid, report);
+            net_.send(node_, node, [srv, cid, report, settled] {
+                srv->handleWatermarkReport(cid, report, settled);
             });
         }
     }

@@ -4,7 +4,8 @@
  * server, stamps every operation with the node's PTP/NTP-disciplined
  * clock, routes it to the shard primary via the master's map, retries
  * idempotently on timeouts, and periodically broadcasts its
- * last-acknowledged timestamp for watermark GC.
+ * last-acknowledged timestamp for watermark GC, together with its
+ * settled transaction floor (MILANA; see milana/txn_table.hh).
  */
 
 #ifndef SEMEL_CLIENT_HH
@@ -81,6 +82,9 @@ class Client
     const Directory &directory_;
     Config config_;
     Time lastAcked_ = 0;
+    /** Transaction serials below this are settled; a MILANA client
+     *  keeps it, and the watermark broadcast carries it. */
+    std::uint64_t settledBelow_ = 0;
     common::StatSet stats_;
     common::Tracer trace_;
 };

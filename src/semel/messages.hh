@@ -205,6 +205,8 @@ struct DecisionRequest
 
 struct DecisionResponse
 {
+    /** The participant holds the outcome (MILANA: applied, and held
+     *  by a quorum of its backups). */
     bool ok = false;
 };
 

@@ -65,15 +65,6 @@ Server::handleGet(GetRequest request)
 }
 
 sim::Task<void>
-Server::ackInto(std::shared_ptr<sim::Quorum> acks, NodeId backup,
-                sim::Task<bool> handler)
-{
-    auto ok = co_await net_.callTyped<bool>(id_, backup, std::move(handler));
-    if (ok.has_value() && *ok)
-        acks->arrive();
-}
-
-sim::Task<void>
 Server::replicateToBackups(ReplicateWrite msg)
 {
     if (backups_.empty())
@@ -188,8 +179,10 @@ Server::handleReplicateWrite(ReplicateWrite msg)
 }
 
 void
-Server::handleWatermarkReport(ClientId client, Time timestamp)
+Server::handleWatermarkReport(ClientId client, Time timestamp,
+                              std::uint64_t settled)
 {
+    noteSettled(client, settled);
     auto &latest = clientReports_[client];
     latest = std::max(latest, timestamp);
     if (config_.expectedClients == 0 ||

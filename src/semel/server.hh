@@ -168,8 +168,10 @@ class Server
     /** Backup side: apply one replicated write, in any order. */
     sim::Task<bool> handleReplicateWrite(ReplicateWrite msg);
 
-    /** Client watermark report (one-way). */
-    void handleWatermarkReport(ClientId client, Time timestamp);
+    /** Client watermark report (one-way), with the client's settled
+     *  transaction floor (see noteSettled). */
+    void handleWatermarkReport(ClientId client, Time timestamp,
+                               std::uint64_t settled);
 
     // ---------------------------------------------------- inspection
 
@@ -187,27 +189,49 @@ class Server
     common::Tracer &tracer() { return trace_; }
 
   protected:
+    /** A client reports its transaction serials below the second
+     *  argument settled; SEMEL keeps no transactions. */
+    virtual void noteSettled(ClientId, std::uint64_t) {}
+
     /** Charge one request's CPU cost (queueing on the core pool). */
     sim::Task<void> chargeCpu();
+
+    /** callBackups' default: nothing to note per acknowledgement. */
+    struct NoAckHook
+    {
+        void operator()(NodeId) const {}
+    };
 
     /**
      * Call every backup: @p call maps a backup to its unstarted
      * handler, which answers true to acknowledge. Returns the quorum
-     * that @p needed acknowledgements satisfy. Calls start in backup
-     * order, before this returns.
+     * that @p needed acknowledgements satisfy; @p on_ack is called
+     * with each acknowledging backup's id before it counts. Calls
+     * start in backup order, before this returns.
      */
-    template <typename Call>
+    template <typename Call, typename OnAck = NoAckHook>
     std::shared_ptr<sim::Quorum>
-    callBackups(std::uint32_t needed, Call call)
+    callBackups(std::uint32_t needed, Call call, OnAck on_ack = {})
     {
         auto acks = std::make_shared<sim::Quorum>(sim_, needed);
         for (Server *backup : backups_)
-            sim::spawn(ackInto(acks, backup->nodeId(), call(backup)));
+            sim::spawn(
+                ackInto(acks, backup->nodeId(), call(backup), on_ack));
         return acks;
     }
     /** One call of callBackups: a true answer arrives at @p acks. */
-    sim::Task<void> ackInto(std::shared_ptr<sim::Quorum> acks,
-                            NodeId backup, sim::Task<bool> handler);
+    template <typename OnAck>
+    sim::Task<void>
+    ackInto(std::shared_ptr<sim::Quorum> acks, NodeId backup,
+            sim::Task<bool> handler, OnAck on_ack)
+    {
+        auto ok =
+            co_await net_.callTyped<bool>(id_, backup, std::move(handler));
+        if (!ok.has_value() || !*ok)
+            co_return;
+        on_ack(backup);
+        acks->arrive();
+    }
 
     /** Replicate a write to the backups and wait for the configured
      *  quorum of acknowledgements. */

@@ -19,6 +19,7 @@
 #include "milana/txn_table.hh"
 #include "sim/sync.hh"
 #include "workload/cluster.hh"
+#include "workload/retwis.hh"
 
 using namespace workload;
 using common::kMillisecond;
@@ -1057,6 +1058,482 @@ TEST(Milana, CtpRacingClientDecisionConverges)
     });
 }
 
+// ------------------------------------------------------ settled floor
+
+namespace {
+
+/** Commit (or abort) a direct one-key transaction at a primary, as a
+ *  client's prepare and decision would. */
+sim::Task<void>
+directTxn(milana::MilanaServer &primary, semel::TxnId txn, Key key,
+          common::Time at, std::vector<common::ShardId> participants,
+          semel::TxnDecision decision = semel::TxnDecision::Commit)
+{
+    auto vote = co_await primary.handlePrepare(
+        directPrepare(txn, key, at, std::move(participants)));
+    EXPECT_EQ(vote.vote, semel::Vote::Commit) << "serial " << txn.serial;
+    semel::DecisionRequest req;
+    req.txn = txn;
+    req.decision = decision;
+    (void)co_await primary.handleDecision(req);
+}
+
+} // namespace
+
+TEST(Milana, PrepareBelowTheFloorAbortsAndChangesNothing)
+{
+    // T prepares, its vote is lost, and its client aborts it; once the
+    // client reports T settled, the primary drops T's entry. A late
+    // copy of T's prepare must then vote Abort and leave no entry and
+    // no prepared mark: a prepared orphan would be single-shard, and
+    // the CTP would commit the writes of an aborted transaction.
+    Cluster cluster(smallConfig(1, 3, 1));
+    cluster.populate();
+    cluster.start();
+    const semel::TxnId txn{999, 1};
+    drive(cluster, [&]() -> sim::Task<void> {
+        co_await sim::sleepFor(cluster.sim(), 10 * kMillisecond);
+        milana::MilanaServer &primary = cluster.primary(0);
+        // (Braced lists stay out of co_await expressions: GCC 12
+        // rejects them there.)
+        const std::vector<common::ShardId> shard0{0};
+        co_await directTxn(primary, txn, 42, cluster.sim().now(), shard0,
+                           semel::TxnDecision::Abort);
+        // Before truncation a redelivery is a duplicate: the entry's
+        // answer.
+        auto again = co_await primary.handlePrepare(
+            directPrepare(txn, 42, cluster.sim().now(), shard0));
+        EXPECT_EQ(again.vote, semel::Vote::Abort);
+        co_await sim::sleepFor(cluster.sim(), kMillisecond);
+
+        primary.handleWatermarkReport(999, cluster.sim().now(), 2);
+        EXPECT_TRUE(primary.txnTable().settled(txn));
+        EXPECT_EQ(primary.txnTable().entries(), 0u);
+
+        auto late = co_await primary.handlePrepare(
+            directPrepare(txn, 42, cluster.sim().now(), shard0));
+        EXPECT_EQ(late.vote, semel::Vote::Abort);
+        EXPECT_EQ(primary.txnTable().entries(), 0u);
+        EXPECT_EQ(primary.txnTable().statusOf(txn),
+                  semel::TxnStatus::Unknown);
+        const semel::KeyRecord *rec = primary.records().find(42);
+        EXPECT_TRUE(rec != nullptr && !rec->isPrepared());
+
+        co_await sim::sleepFor(cluster.sim(), 200 * kMillisecond);
+        EXPECT_EQ(primary.latestCommitted(42), (common::Version{1, 0}));
+        EXPECT_EQ(primary.stats().counterValue("milana.ctp_invocations"),
+                  0u);
+        cluster.sim().requestStop();
+    });
+}
+
+TEST(Milana, LatePreparedRecordAtABackupLeavesNoEntry)
+{
+    // T's prepare record to backup B is slowed down; its outcome
+    // record is not. Once the floor has passed T and reached B, the
+    // late prepare must fold as a no-op, or B would hold an undecided
+    // entry no outcome ever follows.
+    Cluster cluster(smallConfig(1, 3, 1));
+    cluster.populate();
+    cluster.start();
+    const semel::TxnId txn{999, 1};
+    drive(cluster, [&]() -> sim::Task<void> {
+        co_await sim::sleepFor(cluster.sim(), 10 * kMillisecond);
+        milana::MilanaServer &primary = cluster.primary(0);
+        const common::NodeId slow = cluster.master().backupsOf(0)[1];
+        milana::MilanaServer &backup = cluster.server(slow);
+        cluster.network().setLinkDelayFactor(primary.nodeId(), slow, 6000);
+        const std::vector<common::ShardId> shard0{0};
+        auto vote = co_await primary.handlePrepare(
+            directPrepare(txn, 42, cluster.sim().now(), shard0));
+        EXPECT_EQ(vote.vote, semel::Vote::Commit);
+        cluster.network().setLinkDelayFactor(primary.nodeId(), slow, 1.0);
+        semel::DecisionRequest commit;
+        commit.txn = txn;
+        commit.decision = semel::TxnDecision::Commit;
+        (void)co_await primary.handleDecision(commit);
+        co_await sim::sleepFor(cluster.sim(), kMillisecond);
+        EXPECT_EQ(backup.txnTable().statusOf(txn),
+                  semel::TxnStatus::Committed);
+
+        // The floor passes T; the next record carries it to B.
+        primary.handleWatermarkReport(999, cluster.sim().now(), 2);
+        EXPECT_EQ(primary.txnTable().floorOf(999), 2u);
+        co_await directTxn(primary, semel::TxnId{999, 2}, 43,
+                           cluster.sim().now(), shard0);
+        co_await sim::sleepFor(cluster.sim(), kMillisecond);
+        EXPECT_TRUE(backup.txnTable().settled(txn));
+
+        // The prepare record lands ~300 ms after it was sent.
+        co_await sim::sleepFor(cluster.sim(), 500 * kMillisecond);
+        EXPECT_GT(backup.stats().counterValue("milana.replica_records"),
+                  3u);
+        EXPECT_EQ(backup.txnTable().statusOf(txn),
+                  semel::TxnStatus::Unknown);
+        EXPECT_EQ(backup.txnTable().size(), 0u);
+        cluster.sim().requestStop();
+    });
+}
+
+TEST(Milana, DelayedDecisionKeepsTheOtherParticipantsEntry)
+{
+    // T spans shards A and B. The client's decision to A is slowed
+    // down until after A's CTP has run, and A's status query to B is
+    // slow as well. B commits T at once, but the client's floor stays
+    // at T until A acknowledges its decision too, so B keeps T's entry
+    // and A's CTP learns the commit from it, instead of reading
+    // Unknown and aborting half of T.
+    Cluster cluster(smallConfig(2, 3, 1));
+    cluster.populate();
+    cluster.start();
+    Key key_a = 0, key_b = 0;
+    while (cluster.master().shardMap().shardOf(key_a) != 0)
+        ++key_a;
+    while (cluster.master().shardMap().shardOf(key_b) != 1)
+        ++key_b;
+    const common::NodeId a = cluster.master().primaryOf(0);
+    const common::NodeId b = cluster.master().primaryOf(1);
+    auto &client = cluster.client(0);
+    drive(cluster, [&]() -> sim::Task<void> {
+        co_await sim::sleepFor(cluster.sim(), 10 * kMillisecond);
+        // B votes ~20 ms late (slow replication); A's vote is back
+        // before the test slows the client's link to A.
+        for (const common::NodeId backup : cluster.master().backupsOf(1))
+            cluster.network().setLinkDelayFactor(b, backup, 200);
+        cluster.network().setLinkDelayFactor(a, b, 3000);
+        auto txn = client.beginTransaction();
+        client.put(txn, key_a, "both");
+        client.put(txn, key_b, "both");
+        CommitResult result{};
+        sim::spawn([](MilanaClient *c, Transaction *t,
+                      CommitResult *r) -> sim::Task<void> {
+            *r = co_await c->commitTransaction(*t);
+        }(&client, &txn, &result));
+        co_await sim::sleepFor(cluster.sim(), 5 * kMillisecond);
+        // ~500 ms each way: the decision reaches A after A's CTP
+        // (first scan past the 50 ms timeout, then ~300 ms to B and
+        // back) has decided.
+        cluster.network().setLinkDelayFactor(client.nodeId(), a, 10000);
+
+        co_await sim::sleepFor(cluster.sim(), 200 * kMillisecond);
+        EXPECT_EQ(result, CommitResult::Committed);
+        EXPECT_EQ(cluster.primary(1).txnTable().statusOf(txn.id()),
+                  semel::TxnStatus::Committed);
+        co_await sim::sleepFor(cluster.sim(), kSecond);
+        EXPECT_EQ(cluster.primary(0).stats().counterValue(
+                      "milana.ctp_commits"),
+                  1u);
+        EXPECT_EQ(cluster.primary(0).stats().counterValue(
+                      "milana.ctp_aborts"),
+                  0u);
+
+        cluster.network().setLinkDelayFactor(client.nodeId(), a, 1.0);
+        cluster.network().setLinkDelayFactor(a, b, 1.0);
+        for (const common::NodeId backup : cluster.master().backupsOf(1))
+            cluster.network().setLinkDelayFactor(b, backup, 1.0);
+        co_await sim::sleepFor(cluster.sim(), kSecond);
+        auto check = client.beginTransaction();
+        const std::vector<Key> keys{key_a, key_b};
+        for (const Key key : keys) {
+            auto read = co_await client.get(check, key);
+            EXPECT_EQ(read.value, "both") << "key " << key;
+        }
+        (void)co_await client.commitTransaction(check);
+        cluster.sim().requestStop();
+    });
+}
+
+TEST(Milana, BackupMissingAnOutcomeHoldsTheFloor)
+{
+    // T spans shards 0 and 1. Shard 0's backup B2 misses T's outcome
+    // record, so shard 0's primary keeps its floor at T, and so does
+    // backup B1 that holds the outcome. Promoted, B2 learns the commit
+    // from B1 and applies it. Had the floor passed T, B1 would have
+    // dropped it, and B2's CTP would read Unknown from shard 1 (which
+    // settled T) and abort a committed transaction.
+    Cluster cluster(smallConfig(2, 3, 1));
+    cluster.populate();
+    cluster.start();
+    Key key0 = 0, key1 = 0;
+    while (cluster.master().shardMap().shardOf(key0) != 0)
+        ++key0;
+    while (cluster.master().shardMap().shardOf(key1) != 1)
+        ++key1;
+    Key other0 = key0 + 1;
+    while (cluster.master().shardMap().shardOf(other0) != 0)
+        ++other0;
+    const semel::TxnId txn{999, 1};
+    drive(cluster, [&]() -> sim::Task<void> {
+        co_await sim::sleepFor(cluster.sim(), 10 * kMillisecond);
+        milana::MilanaServer &p0 = cluster.primary(0);
+        milana::MilanaServer &p1 = cluster.primary(1);
+        const common::NodeId b1 = cluster.master().backupsOf(0)[0];
+        const common::NodeId b2 = cluster.master().backupsOf(0)[1];
+        const common::Time at = cluster.sim().now();
+        const std::vector<common::ShardId> both{0, 1};
+        const std::vector<common::ShardId> shard0{0};
+        const std::vector<milana::MilanaServer *> primaries{&p0, &p1};
+        for (milana::MilanaServer *p : primaries) {
+            auto vote = co_await p->handlePrepare(
+                directPrepare(txn, p == &p0 ? key0 : key1, at, both));
+            EXPECT_EQ(vote.vote, semel::Vote::Commit);
+        }
+        co_await sim::sleepFor(cluster.sim(), kMillisecond);
+        cluster.network().setLinkBroken(p0.nodeId(), b2, true);
+        semel::DecisionRequest commit;
+        commit.txn = txn;
+        commit.decision = semel::TxnDecision::Commit;
+        (void)co_await p0.handleDecision(commit);
+        (void)co_await p1.handleDecision(commit);
+        co_await sim::sleepFor(cluster.sim(), kMillisecond);
+
+        // The client reports T settled: shard 1 drops it, shard 0
+        // holds it for B2, and the next record tells B1 so.
+        for (milana::MilanaServer *p : primaries)
+            p->handleWatermarkReport(999, cluster.sim().now(), 2);
+        EXPECT_TRUE(p1.txnTable().settled(txn));
+        EXPECT_EQ(p0.txnTable().floorOf(999), 1u);
+        co_await directTxn(p0, semel::TxnId{999, 2}, other0,
+                           cluster.sim().now(), shard0);
+        co_await sim::sleepFor(cluster.sim(), kMillisecond);
+        EXPECT_EQ(cluster.server(b1).txnTable().statusOf(txn),
+                  semel::TxnStatus::Committed);
+        EXPECT_EQ(cluster.server(b2).txnTable().statusOf(txn),
+                  semel::TxnStatus::Prepared);
+
+        cluster.crashServer(p0.nodeId());
+        co_await cluster.failover(0, b2);
+        milana::MilanaServer &promoted = cluster.primary(0);
+        EXPECT_EQ(promoted.txnTable().statusOf(txn),
+                  semel::TxnStatus::Committed);
+        co_await sim::sleepFor(cluster.sim(), 200 * kMillisecond);
+        auto &client = cluster.client(0);
+        auto check = client.beginTransaction();
+        auto read = co_await client.get(check, key0);
+        EXPECT_EQ(read.value, "prepared");
+        (void)co_await client.commitTransaction(check);
+        cluster.sim().requestStop();
+    });
+}
+
+TEST(Milana, RecoveringPrimaryDoesNotSettle)
+{
+    // Backup B2 misses T entirely; B1 holds T's commit. While promoted
+    // B2 recovers, a client report arrives with the floor past T. B2
+    // must not settle on it before the pulled tables are folded in:
+    // T is a hole in its own table, and skipping it would drop the
+    // commit it is about to learn from B1.
+    Cluster cluster(smallConfig(1, 3, 1));
+    cluster.populate();
+    cluster.start();
+    const semel::TxnId txn{999, 1};
+    drive(cluster, [&]() -> sim::Task<void> {
+        co_await sim::sleepFor(cluster.sim(), 10 * kMillisecond);
+        milana::MilanaServer &primary = cluster.primary(0);
+        const common::NodeId b2 = cluster.master().backupsOf(0)[1];
+        cluster.network().setLinkBroken(primary.nodeId(), b2, true);
+        const std::vector<common::ShardId> shard0{0};
+        co_await directTxn(primary, txn, 42, cluster.sim().now(), shard0);
+        co_await sim::sleepFor(cluster.sim(), kMillisecond);
+        EXPECT_EQ(cluster.server(b2).txnTable().statusOf(txn),
+                  semel::TxnStatus::Unknown);
+
+        cluster.crashServer(primary.nodeId());
+        auto done = std::make_shared<sim::Quorum>(cluster.sim(), 1);
+        sim::spawn([](Cluster *c, common::NodeId node,
+                      std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
+            co_await c->failover(0, node);
+            q->arrive();
+        }(&cluster, b2, done));
+        cluster.server(b2).handleWatermarkReport(999, cluster.sim().now(), 2);
+        co_await done->wait();
+        EXPECT_EQ(cluster.primary(0).txnTable().statusOf(txn),
+                  semel::TxnStatus::Committed);
+        auto &client = cluster.client(0);
+        auto check = client.beginTransaction();
+        auto read = co_await client.get(check, 42);
+        EXPECT_EQ(read.value, "prepared");
+        (void)co_await client.commitTransaction(check);
+        cluster.sim().requestStop();
+    });
+}
+
+TEST(Milana, DecisionDuringRecoveryPullWaitsForTheTable)
+{
+    // T spans shards 0 and 1. Shard 0's prepared record reaches backup
+    // B1 but not B2; the primary crashes after both votes and B2 is
+    // promoted. The commit reaches B2 while it still pulls B1's table.
+    // Acked at once with nothing held, it would let the client settle
+    // T and shard 1 drop it; B2 would then learn T as prepared, and
+    // its CTP would read Unknown from shard 1 and abort a commit.
+    Cluster cluster(smallConfig(2, 3, 1));
+    cluster.populate();
+    cluster.start();
+    Key key0 = 0, key1 = 0;
+    while (cluster.master().shardMap().shardOf(key0) != 0)
+        ++key0;
+    while (cluster.master().shardMap().shardOf(key1) != 1)
+        ++key1;
+    const semel::TxnId txn{999, 1};
+    drive(cluster, [&]() -> sim::Task<void> {
+        co_await sim::sleepFor(cluster.sim(), 10 * kMillisecond);
+        milana::MilanaServer &p0 = cluster.primary(0);
+        milana::MilanaServer &p1 = cluster.primary(1);
+        const common::NodeId b2 = cluster.master().backupsOf(0)[1];
+        milana::MilanaServer &promoted = cluster.server(b2);
+        cluster.network().setLinkBroken(p0.nodeId(), b2, true);
+        const common::Time at = cluster.sim().now();
+        const std::vector<common::ShardId> both{0, 1};
+        auto vote0 = co_await p0.handlePrepare(
+            directPrepare(txn, key0, at, both));
+        auto vote1 = co_await p1.handlePrepare(
+            directPrepare(txn, key1, at, both));
+        EXPECT_EQ(vote0.vote, semel::Vote::Commit);
+        EXPECT_EQ(vote1.vote, semel::Vote::Commit);
+        co_await sim::sleepFor(cluster.sim(), kMillisecond);
+        EXPECT_EQ(promoted.txnTable().statusOf(txn),
+                  semel::TxnStatus::Unknown);
+
+        cluster.crashServer(p0.nodeId());
+        auto done = std::make_shared<sim::Quorum>(cluster.sim(), 1);
+        sim::spawn([](Cluster *c, common::NodeId node,
+                      std::shared_ptr<sim::Quorum> q) -> sim::Task<void> {
+            co_await c->failover(0, node);
+            q->arrive();
+        }(&cluster, b2, done));
+        EXPECT_TRUE(promoted.recovering());
+        semel::DecisionRequest commit;
+        commit.txn = txn;
+        commit.decision = semel::TxnDecision::Commit;
+        (void)co_await promoted.handleDecision(commit);
+        (void)co_await p1.handleDecision(commit);
+        co_await sim::sleepFor(cluster.sim(), kMillisecond);
+
+        // Both participants acked: the client reports T settled.
+        p1.handleWatermarkReport(999, cluster.sim().now(), 2);
+        EXPECT_TRUE(p1.txnTable().settled(txn));
+        co_await done->wait();
+        co_await sim::sleepFor(cluster.sim(), 500 * kMillisecond);
+        EXPECT_EQ(promoted.stats().counterValue("milana.ctp_aborts"), 0u);
+        auto &client = cluster.client(0);
+        auto check = client.beginTransaction();
+        const std::vector<Key> keys{key0, key1};
+        for (const Key key : keys) {
+            auto read = co_await client.get(check, key);
+            EXPECT_EQ(read.value, "prepared") << "key " << key;
+        }
+        (void)co_await client.commitTransaction(check);
+        cluster.sim().requestStop();
+    });
+}
+
+TEST(Milana, DuplicateDecisionAcksOnlyAHeldOutcome)
+{
+    // T spans shards A and B. The client's decision to A is slowed
+    // down, so A's CTP commits T first, but A is cut off from its
+    // backups and the outcome never leaves it. The client's own
+    // decision then reaches A. Acked as a duplicate, it would let the
+    // client settle T and B drop it; once A crashes, its promoted
+    // backup, holding T as prepared, would read Unknown from B and
+    // abort a commit.
+    Cluster cluster(smallConfig(2, 3, 1));
+    cluster.populate();
+    cluster.start();
+    Key key_a = 0, key_b = 0;
+    while (cluster.master().shardMap().shardOf(key_a) != 0)
+        ++key_a;
+    while (cluster.master().shardMap().shardOf(key_b) != 1)
+        ++key_b;
+    const common::NodeId a = cluster.master().primaryOf(0);
+    const common::NodeId b = cluster.master().primaryOf(1);
+    const std::vector<common::NodeId> a_backups =
+        cluster.master().backupsOf(0);
+    auto &client = cluster.client(0);
+    drive(cluster, [&]() -> sim::Task<void> {
+        co_await sim::sleepFor(cluster.sim(), 10 * kMillisecond);
+        // B votes ~20 ms late (slow replication); A's vote, and its
+        // prepare record at both backups, are in before the test cuts
+        // A off and slows the client's link to A.
+        for (const common::NodeId backup : cluster.master().backupsOf(1))
+            cluster.network().setLinkDelayFactor(b, backup, 200);
+        auto txn = client.beginTransaction();
+        client.put(txn, key_a, "both");
+        client.put(txn, key_b, "both");
+        CommitResult result{};
+        sim::spawn([](MilanaClient *c, Transaction *t,
+                      CommitResult *r) -> sim::Task<void> {
+            *r = co_await c->commitTransaction(*t);
+        }(&client, &txn, &result));
+        co_await sim::sleepFor(cluster.sim(), 5 * kMillisecond);
+        for (const common::NodeId backup : a_backups)
+            cluster.network().setLinkBroken(a, backup, true);
+        cluster.network().setLinkDelayFactor(client.nodeId(), a, 10000);
+
+        co_await sim::sleepFor(cluster.sim(), 200 * kMillisecond);
+        EXPECT_EQ(result, CommitResult::Committed);
+        EXPECT_EQ(cluster.primary(0).stats().counterValue(
+                      "milana.ctp_commits"),
+                  1u);
+        // The client's decision reaches A at ~0.5 s; its answer would
+        // be back by ~1 s, and the floor report by ~1.1 s.
+        co_await sim::sleepFor(cluster.sim(), 2 * kSecond);
+        cluster.network().setLinkDelayFactor(client.nodeId(), a, 1.0);
+        for (const common::NodeId backup : cluster.master().backupsOf(1))
+            cluster.network().setLinkDelayFactor(b, backup, 1.0);
+        EXPECT_EQ(cluster.primary(1).txnTable().statusOf(txn.id()),
+                  semel::TxnStatus::Committed);
+
+        cluster.crashServer(a);
+        co_await cluster.failover(0, a_backups[0]);
+        co_await sim::sleepFor(cluster.sim(), 500 * kMillisecond);
+        EXPECT_EQ(cluster.primary(0).stats().counterValue(
+                      "milana.ctp_aborts"),
+                  0u);
+        auto check = client.beginTransaction();
+        const std::vector<Key> keys{key_a, key_b};
+        for (const Key key : keys) {
+            auto read = co_await client.get(check, key);
+            EXPECT_EQ(read.value, "both") << "key " << key;
+        }
+        (void)co_await client.commitTransaction(check);
+        cluster.sim().requestStop();
+    });
+}
+
+TEST(Milana, TxnTablesStayBoundedInAFaultFreeRun)
+{
+    // A fault-free Retwis run on a 3x3 cluster: every replica's table
+    // holds only the recent window of each client, so its size at the
+    // end of the run is about its size half-way, not twice it.
+    ClusterConfig cfg = smallConfig(3, 3, 4);
+    Cluster cluster(cfg);
+    cluster.populate();
+    cluster.start();
+    RetwisConfig retwis;
+    retwis.alpha = 0.6;
+    retwis.numKeys = cfg.numKeys;
+    RetwisWorkload fleet(cluster, retwis);
+    fleet.start();
+    const auto sizes = [&] {
+        std::vector<std::size_t> out;
+        for (std::size_t i = 0; i < cluster.numServers(); ++i)
+            out.push_back(cluster.server(i).txnTable().entries());
+        return out;
+    };
+    cluster.runUntil(cluster.now() + 2 * kSecond);
+    const std::vector<std::size_t> mid = sizes();
+    const std::uint64_t commits_mid = fleet.totalCommits();
+    cluster.runUntil(cluster.now() + 2 * kSecond);
+    const std::vector<std::size_t> end = sizes();
+    EXPECT_GT(fleet.totalCommits(), commits_mid + commits_mid / 2);
+    for (std::size_t i = 0; i < mid.size(); ++i) {
+        EXPECT_GT(mid[i], 0u) << "server " << i;
+        EXPECT_LE(end[i], mid[i] + mid[i] / 4 + 16)
+            << "server " << i << " grew from " << mid[i] << " to "
+            << end[i];
+    }
+}
+
 // ------------------------------------------------- transaction table
 
 namespace {
@@ -1086,7 +1563,7 @@ TEST(TxnTable, CommittedBeforePreparedStaysCommitted)
               nullptr);
     EXPECT_EQ(table.statusOf({7, 1}), semel::TxnStatus::Committed);
     EXPECT_EQ(table.size(), 0u);
-    const milana::TxnEntry &entry = table.decided().at({7, 1});
+    const milana::TxnEntry &entry = *table.decided({7, 1});
     EXPECT_EQ(entry.writeSet, kWrites);
     EXPECT_TRUE(entry.participants.empty());
 }
@@ -1097,7 +1574,7 @@ TEST(TxnTable, CommitWithoutWriteSetKeepsThePrepares)
     milana::TxnTable table;
     table.fold(record(semel::TxnStatus::Prepared, 1, kWrites));
     table.fold(record(semel::TxnStatus::Committed, 1));
-    EXPECT_EQ(table.decided().at({7, 1}).writeSet, kWrites);
+    EXPECT_EQ(table.decided({7, 1})->writeSet, kWrites);
 }
 
 TEST(TxnTable, AbortedOutcomeDropsWriteSet)
@@ -1116,7 +1593,7 @@ TEST(TxnTable, AbortedOutcomeDropsWriteSet)
     table.fold(record(semel::TxnStatus::Aborted, 2));
     EXPECT_EQ(table.fold(record(semel::TxnStatus::Prepared, 2, kWrites)),
               nullptr);
-    EXPECT_TRUE(table.decided().at({7, 2}).writeSet.empty());
+    EXPECT_TRUE(table.decided({7, 2})->writeSet.empty());
     EXPECT_EQ(table.size(), 0u);
 }
 
@@ -1138,7 +1615,7 @@ TEST(TxnTable, DuplicateRecordsAreIdempotent)
     std::size_t entries = 0;
     table.forEach([&](const milana::TxnEntry &) { ++entries; });
     EXPECT_EQ(entries, 1u);
-    EXPECT_EQ(table.decided().at({7, 1}).writeSet, kWrites);
+    EXPECT_EQ(table.decided({7, 1})->writeSet, kWrites);
 }
 
 TEST(TxnTable, StatusOfEachState)
@@ -1211,4 +1688,103 @@ TEST(TxnTable, PreparedBeforeListsUndecidedInTxnIdOrder)
     std::vector<semel::TxnId> expected = open;
     expected.insert(expected.end(), decided.begin(), decided.end());
     EXPECT_EQ(visited, expected);
+}
+
+TEST(TxnTable, ForEachVisitsTxnIdOrderAcrossClients)
+{
+    // Recovery pulls and re-sends entries in forEach order: undecided
+    // ones, then decided ones, each in TxnId order across clients,
+    // whatever order they were folded in and whichever were dropped
+    // below a floor.
+    milana::TxnTable table;
+    std::vector<semel::TxnId> ids;
+    for (const common::ClientId client : {9u, 2u, 5u})
+        for (std::uint64_t serial = 1; serial <= 40; ++serial)
+            ids.push_back({client, serial});
+    std::mt19937_64 rng(11);
+    std::shuffle(ids.begin(), ids.end(), rng);
+    std::vector<semel::TxnId> open;
+    std::vector<semel::TxnId> decided;
+    for (const semel::TxnId &id : ids) {
+        const bool outcome = rng() % 2 == 0;
+        table.fold(milana::TxnEntry{
+            {outcome ? semel::TxnStatus::Committed
+                     : semel::TxnStatus::Prepared,
+             id, common::Version{100, id.client}, kWrites, {0}},
+            0});
+        if (id.client == 5 && id.serial < 10)
+            continue; // dropped below the floor below
+        (outcome ? decided : open).push_back(id);
+    }
+    table.truncate(5, 10);
+    std::sort(open.begin(), open.end());
+    std::sort(decided.begin(), decided.end());
+    std::vector<semel::TxnId> visited;
+    table.forEach(
+        [&](const milana::TxnEntry &e) { visited.push_back(e.txn); });
+    std::vector<semel::TxnId> expected = open;
+    expected.insert(expected.end(), decided.begin(), decided.end());
+    EXPECT_EQ(visited, expected);
+    EXPECT_EQ(table.size(), open.size());
+    EXPECT_EQ(table.entries(), expected.size());
+}
+
+TEST(TxnTable, RecordsBelowTheFloorFoldAsNoOps)
+{
+    milana::TxnTable table;
+    table.fold(record(semel::TxnStatus::Prepared, 1, kWrites));
+    table.fold(record(semel::TxnStatus::Committed, 2, kWrites));
+    table.truncate(7, 3);
+    EXPECT_EQ(table.floorOf(7), 3u);
+    EXPECT_EQ(table.entries(), 0u);
+    EXPECT_EQ(table.size(), 0u);
+    for (const semel::TxnStatus status :
+         {semel::TxnStatus::Prepared, semel::TxnStatus::Committed,
+          semel::TxnStatus::Aborted})
+        for (const std::uint64_t serial : {1u, 2u})
+            EXPECT_EQ(table.fold(record(status, serial, kWrites)), nullptr);
+    EXPECT_TRUE(table.settled({7, 2}));
+    EXPECT_FALSE(table.settled({7, 3}));
+    EXPECT_EQ(table.statusOf({7, 2}), semel::TxnStatus::Unknown);
+    EXPECT_EQ(table.entries(), 0u);
+    // A lower floor changes nothing; serials at the floor fold.
+    table.truncate(7, 1);
+    EXPECT_EQ(table.floorOf(7), 3u);
+    EXPECT_NE(table.fold(record(semel::TxnStatus::Prepared, 3, kWrites)),
+              nullptr);
+}
+
+TEST(TxnTable, SettleStopsAtUndecidedAndUnackedOutcomes)
+{
+    // The primary's floor passes serials it never saw and outcomes
+    // every backup acknowledged, up to the client's floor, and stops at
+    // the first undecided entry or unacknowledged outcome.
+    milana::TxnTable table;
+    constexpr std::uint32_t kBoth = 0b11;
+    table.fold(record(semel::TxnStatus::Committed, 2, kWrites));
+    table.fold(record(semel::TxnStatus::Aborted, 3));
+    table.fold(record(semel::TxnStatus::Prepared, 5, kWrites));
+    table.fold(record(semel::TxnStatus::Committed, 7, kWrites));
+    table.noteAck({7, 2}, 0b01);
+    EXPECT_EQ(table.settle(7, 10, kBoth), 2u); // 2: one ack of two
+    table.noteAck({7, 2}, 0b10);
+    table.noteAck({7, 3}, kBoth);
+    EXPECT_EQ(table.settle(7, 10, kBoth), 5u); // 5: undecided
+    EXPECT_EQ(table.statusOf({7, 2}), semel::TxnStatus::Unknown);
+    table.fold(record(semel::TxnStatus::Committed, 5));
+    EXPECT_EQ(table.settle(7, 10, kBoth), 5u); // 5: not acked
+    table.noteAck({7, 5}, kBoth);
+    EXPECT_EQ(table.settle(7, 6, kBoth), 6u);  // the client's floor
+    EXPECT_EQ(table.settle(7, 10, kBoth), 7u); // 7: not acked
+    table.noteAck({7, 7}, kBoth);
+    EXPECT_EQ(table.settle(7, 10, kBoth), 10u); // past the end
+    EXPECT_EQ(table.entries(), 0u);
+    // Without backups, a decided entry needs no ack.
+    table.fold(record(semel::TxnStatus::Committed, 11, kWrites));
+    EXPECT_EQ(table.settle(7, 12, 0), 12u);
+    // Acks from before a failover no longer count.
+    table.fold(record(semel::TxnStatus::Committed, 12, kWrites));
+    table.noteAck({7, 12}, kBoth);
+    table.clearAcks();
+    EXPECT_EQ(table.settle(7, 13, kBoth), 12u);
 }
